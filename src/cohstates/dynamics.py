@@ -85,7 +85,8 @@ def _reduced_phase(energy: float, t: float) -> float:
 def autocorr(weights: np.ndarray, spectrum: Spectrum, times: np.ndarray) -> AutocorrTrace:
     """Survival amplitude A(t_k) = sum_n p_n exp(-i E(n) t_k).
 
-    The weights must be non-negative and sum to 1 within 1e-10.  The sum is
+    The weights must be non-negative and sum to 1 within 1e-10; |A|^2 is
+    checked against the square of their actual total.  The sum is
     accumulated in ascending n, so identical inputs give identical traces.
     """
     weights = np.asarray(weights, dtype=float)
@@ -111,9 +112,10 @@ def autocorr(weights: np.ndarray, spectrum: Spectrum, times: np.ndarray) -> Auto
                 phases[k] = _reduced_phase(energy, float(times[k]))
         values += weights[n] * np.exp(-1j * phases)
 
+    # |A| <= sum p_n, so the bound follows the weight total actually given
     magsq = np.abs(values) ** 2
-    if np.any(magsq > 1.0 + 1e-12):
-        raise AssertionError("survival probability exceeded 1 beyond rounding")
+    if np.any(magsq > total * total + 1e-12):
+        raise ValueError(f"survival probability exceeded the squared weight total {total * total!r}")
     return AutocorrTrace(times=times, values=values, magsq=magsq)
 
 

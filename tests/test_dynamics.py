@@ -84,6 +84,15 @@ def test_autocorr_weight_validation():
         autocorr(np.array([]), Spectrum(1.0, 0.0, 0.0), times)
 
 
+def test_autocorr_weight_total_within_tolerance_sets_the_bound():
+    # weights 5e-11 above 1 pass validation; |A(0)|^2 is their total squared,
+    # above 1 + 1e-12, and must be returned rather than rejected
+    p = np.array([0.5, 0.5 + 5e-11])
+    trace = autocorr(p, pt_spectrum(2.0), np.array([0.0]))
+    assert trace.magsq[0] > 1.0 + 1e-12
+    assert trace.magsq[0] == pytest.approx((1.0 + 5e-11) ** 2, abs=1e-15)
+
+
 def test_reduced_phase_against_frozen_oracle():
     # reference values from a 50-digit evaluation of E*t mod 2 pi
     assert dynamics._reduced_phase(1000000007.0, 123.456) == pytest.approx(
