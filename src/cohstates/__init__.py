@@ -32,7 +32,6 @@ from .dynamics import (
 from .gaussfactor import GaussSumReport, factor_scan, gauss_sum
 from .ladder import (
     DegenerateParameterError,
-    GaussianRational,
     LadderOp,
     MonoPoly,
     algebra_report,
@@ -71,7 +70,6 @@ __all__ = [
     "factor_scan",
     "gauss_sum",
     "DegenerateParameterError",
-    "GaussianRational",
     "LadderOp",
     "MonoPoly",
     "algebra_report",

@@ -19,9 +19,10 @@ differences so that truncation orders up to the hard cap of 500 never
 overflow.
 
 ``verify_annihilation`` rebuilds the truncated eigenstate on the monomial
-basis in exact rational arithmetic and measures the residual of the
-eigenvalue equation; the residual is exactly the single truncation tail
-term, so it decays factorially with the truncation order.
+basis one exact rational coefficient per degree and measures the residual
+of the eigenvalue equation, which depends on the eigenvalue only through
+|ev|^2; it is exactly the single truncation tail term, so it decays
+factorially with the truncation order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import specfun
-from .ladder import GaussianRational, LadderOp, apply, monomial
+from .ladder import LadderOp, _step, apply  # noqa: F401  (perfbench traces cstates.apply)
 
 __all__ = [
     "Family",
@@ -352,33 +353,70 @@ def _annihilation_ops(family: str, params) -> tuple[LadderOp, LadderOp]:
     raise ValueError(f"unknown family {family!r}; expected 'laguerre' or 'hypergeometric'")
 
 
+def _sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) for positive integers of any size, to within one ulp.
+
+    The quotient is scaled by a power of 4 to about 2^128 before
+    ``math.isqrt``, so neither it nor its root leaves the double range until
+    ``math.ldexp`` scales the root back.
+    """
+    shift = (q.bit_length() - p.bit_length()) // 2 + 64
+    scaled = (p << 2 * shift) // q if shift >= 0 else p // (q << -2 * shift)
+    return math.ldexp(math.isqrt(scaled), -shift)
+
+
+def _abs2_sum(abs2: Fraction, coeffs: list) -> tuple[int, int]:
+    """sum_k abs2^k coeffs[k]^2 as an unreduced (numerator, denominator),
+    by Horner's rule in integers over one common denominator (no gcds)."""
+    p, q = abs2.numerator, abs2.denominator
+    den = math.lcm(*(c.denominator for c in coeffs))
+    acc, p_k = 0, 1
+    for c in coeffs:
+        acc = acc * q + (c.numerator * (den // c.denominator)) ** 2 * p_k
+        p_k *= p
+    return acc, den * den * q ** (len(coeffs) - 1)
+
+
 def verify_annihilation(family: str, params, eigenvalue, trunc_order: int) -> float:
     """Residual of the lowering-operator eigenvalue equation, computed exactly.
 
-    Builds the truncated monomial-basis state
-    sum_{n<=N} ((-ev)^n / n!) Kt+^n x^0 in exact (Gaussian-)rational
-    arithmetic, applies K- + ev, and returns ||(K- + ev) state|| / ||state||
-    in the coefficient l2 norm.  Below the truncation edge the action
-    cancels exactly, so the residual is the lone degree-N tail term and
-    decreases factorially in N.  It is exactly 0 for eigenvalue 0.
+    The truncated state sum_{k<=N} ((-ev)^k / k!) Kt+^k x^0 has the
+    coefficient (-ev)^k r_k on x^k, with r_0 = 1, r_k = r_(k-1) kt(k-1) / k
+    and kt(j) the Kt+ factor on x^j.  Applying K- + ev term by term leaves
+    (-ev)^j ev (r_j - km(j+1) r_(j+1)) on x^j for j < N and (-ev)^N ev r_N on
+    x^N, so ||(K- + ev) state|| / ||state|| in the coefficient l2 norm
+    depends on ev only through the exact rational |ev|^2.  Below the
+    truncation edge the action cancels exactly, so the residual is the lone
+    degree-N tail term and decreases factorially in N.  It is exactly 0 for
+    eigenvalue 0 and correct to one ulp down to the smallest normal double.
 
     ``family`` is "laguerre" (params = lam) or "hypergeometric"
-    (params = (b, c)).
+    (params = (b, c)); ``eigenvalue`` must be finite.
     """
     if trunc_order < 2:
         raise ValueError(f"truncation order must be >= 2, got {trunc_order}")
     k_minus, k_tilde_plus = _annihilation_ops(family, params)
-    ev = GaussianRational.from_number(
-        complex(eigenvalue) if not isinstance(eigenvalue, (int, Fraction)) else eigenvalue
-    )
+    if isinstance(eigenvalue, (int, Fraction)):
+        abs2 = Fraction(eigenvalue) ** 2
+    else:
+        z = complex(eigenvalue)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"eigenvalue must be finite, got {eigenvalue!r}")
+        abs2 = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
-    term = monomial(0, GaussianRational(Fraction(1)))
-    state = term
-    for k in range(1, trunc_order + 1):
-        term = apply(k_tilde_plus, term).scale((-ev) * Fraction(1, k))
-        state = state + term
+    # ev = 0 leaves x^0 alone, so Kt+ is applied at degree 0 only
+    order = trunc_order if abs2 else 1
+    r = [Fraction(1)]
+    for k in range(1, order + 1):
+        rk, _ = _step(k_tilde_plus, r[-1], k - 1)
+        r.append(rk / k)
+    residual = [r[j] - _step(k_minus, r[j + 1], j + 1)[0] for j in range(order)]
+    residual.append(r[order])
 
-    residual_poly = apply(k_minus, state) + state.scale(ev)
-    num = residual_poly.coeff_norm2()
-    den = state.coeff_norm2()
-    return math.sqrt(float(Fraction(num, den))) if num else 0.0
+    num, num_den = _abs2_sum(abs2, residual)
+    den, den_den = _abs2_sum(abs2, r)
+    # residual^2 = abs2 * (num / num_den) / (den / den_den)
+    num *= abs2.numerator * den_den
+    if not num:
+        return 0.0
+    return _sqrt_ratio(num, abs2.denominator * num_den * den)

@@ -2,9 +2,8 @@
 
 The operators here act degree-wise on the tower {x^n} with rational
 parameters, and every action is carried out in exact arithmetic (stdlib
-``Fraction``, or Gaussian rationals for complex scalars).  That makes the
-algebraic identities testable as exact equalities rather than tolerance
-checks:
+``Fraction``).  That makes the algebraic identities testable as exact
+equalities rather than tolerance checks:
 
 * Laguerre-class operators K+, K-, K3 close into an su(1,1) algebra,
   [K+, K-] = -2 K3 and [K3, K+-] = +- K+-.
@@ -25,11 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 __all__ = [
     "DegenerateParameterError",
-    "GaussianRational",
     "MonoPoly",
     "monomial",
     "OpKind",
@@ -52,77 +50,8 @@ class DegenerateParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def from_number(cls, z) -> "GaussianRational":
-        if isinstance(z, GaussianRational):
-            return z
-        if isinstance(z, complex):
-            return cls(Fraction(z.real), Fraction(z.imag))
-        return cls(Fraction(z), Fraction(0))
-
-    def __add__(self, other):
-        other = GaussianRational.from_number(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.from_number(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        other = GaussianRational.from_number(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
-
-ExactScalar = Union[Fraction, GaussianRational]
-
-
-def _to_exact(value) -> ExactScalar:
-    if isinstance(value, (Fraction, GaussianRational)):
-        return value
-    if isinstance(value, complex):
-        return GaussianRational.from_number(value)
-    return Fraction(value)
-
-
-def _scalar_abs2(value: ExactScalar) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.abs2()
-    return value * value
-
-
-@dataclass(frozen=True)
 class MonoPoly:
-    """Polynomial over the monomial basis with exact coefficients.
+    """Polynomial over the monomial basis with ``Fraction`` coefficients.
 
     ``coeffs[k]`` multiplies x^k; trailing zeros are trimmed so that equal
     polynomials compare equal.
@@ -132,14 +61,10 @@ class MonoPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "MonoPoly":
-        cs = [_to_exact(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "MonoPoly":
-        return cls(())
 
     @property
     def degree(self) -> int:
@@ -170,20 +95,16 @@ class MonoPoly:
         return MonoPoly(tuple(-c for c in self.coeffs))
 
     def scale(self, s) -> "MonoPoly":
-        s = _to_exact(s)
+        s = Fraction(s)
         return MonoPoly.from_coeffs([s * c for c in self.coeffs])
 
     def eval_exact(self, x):
         """Evaluate at an exact point by Horner's rule."""
-        x = _to_exact(x)
-        acc: ExactScalar = Fraction(0)
+        x = Fraction(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def coeff_norm2(self) -> Fraction:
-        """Exact squared l2 norm of the coefficient vector."""
-        return sum((_scalar_abs2(c) for c in self.coeffs), Fraction(0))
 
 
 def monomial(degree: int, coeff=1) -> MonoPoly:
@@ -280,24 +201,60 @@ class LadderOp:
         return apply(self, p)
 
 
+def _step(op: LadderOp, coeff: Fraction, n: int) -> tuple[Fraction, int]:
+    """``op`` applied to the single term coeff * x^n, as (coeff', degree').
+
+    A zero term stays zero without consulting ``op``, so a chain of steps
+    stops where the polynomial action reaches the zero polynomial, and raises
+    ``DegenerateParameterError`` at the same operator and degree.
+    """
+    if not coeff:
+        return coeff, n
+    factor, m = op._action(n)
+    return coeff * factor, m
+
+
+def _chain(n: int, ops: tuple, coeff=1) -> tuple[Fraction, int]:
+    """The product ops[0] ops[1] ... applied to coeff * x^n, rightmost first."""
+    for op in reversed(ops):
+        coeff, n = _step(op, coeff, n)
+    return coeff, n
+
+
+def _terms(*terms: tuple) -> dict:
+    """Sum single terms (coeff, degree) into {degree: coeff}, zeros dropped."""
+    out: dict = {}
+    for c, m in terms:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
 def apply(op: LadderOp, p: MonoPoly) -> MonoPoly:
     """Apply a ladder operator to a polynomial, exactly."""
-    if p.is_zero():
-        return MonoPoly.zero()
     out = [Fraction(0)] * (p.degree + 2)
     for n, cn in enumerate(p.coeffs):
-        if not cn:
-            continue
-        factor, m = op._action(n)
-        if m < 0 or not factor:
-            continue
-        out[m] = out[m] + cn * factor
+        c, m = _step(op, cn, n)
+        if c:
+            out[m] += c
     return MonoPoly.from_coeffs(out)
 
 
 def commutator(op_a: LadderOp, op_b: LadderOp, p: MonoPoly) -> MonoPoly:
     """(op_a op_b - op_b op_a) applied to p, exactly."""
     return apply(op_a, apply(op_b, p)) - apply(op_b, apply(op_a, p))
+
+
+def _exp_minus(k_minus: LadderOp, n: int) -> list:
+    """Coefficients of exp(-K-) x^n, lowest degree first.
+
+    K- takes x^d to a multiple of x^(d-1), so the k-th term of the series,
+    ((-1)^k / k!) K-^k x^n, is a single monomial of degree n - k.
+    """
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        c, _ = _step(k_minus, coeffs[-1], n - k + 1)
+        coeffs.append(c / -k)
+    return coeffs[::-1]
 
 
 def laguerre_from_operator(n: int, lam) -> MonoPoly:
@@ -312,13 +269,8 @@ def laguerre_from_operator(n: int, lam) -> MonoPoly:
     lam = Fraction(lam)
     if lam.denominator == 1 and -n <= lam <= -1:
         raise DegenerateParameterError("exp(-K-)", n, f"lam = {lam} is a negative integer in [-{n}, -1]")
-    k_minus = LadderOp.k_minus(lam)
-    term = monomial(n)
-    total = term
-    for k in range(1, n + 1):
-        term = apply(k_minus, term).scale(Fraction(-1, k))
-        total = total + term
-    return total.scale(Fraction((-1) ** n, math.factorial(n)))
+    pref = Fraction((-1) ** n, math.factorial(n))
+    return MonoPoly.from_coeffs([pref * c for c in _exp_minus(LadderOp.k_minus(lam), n)])
 
 
 def hyp_from_operator(n: int, b, c) -> MonoPoly:
@@ -338,16 +290,10 @@ def hyp_from_operator(n: int, b, c) -> MonoPoly:
             raise DegenerateParameterError("exp(-hypK-)", j + 1, f"b = {b} hits b + {j} = 0")
         if c + j == 0:
             raise DegenerateParameterError("prefactor (c)_n", j + 1, f"c = {c} hits c + {j} = 0")
-    k_minus = LadderOp.hyp_k_minus(b, c)
-    term = monomial(n)
-    total = term
-    for k in range(1, n + 1):
-        term = apply(k_minus, term).scale(Fraction(-1, k))
-        total = total + term
     pref = Fraction((-1) ** n)
     for j in range(n):
         pref *= (b + j) / (c + j)
-    return total.scale(pref)
+    return MonoPoly.from_coeffs([pref * t for t in _exp_minus(LadderOp.hyp_k_minus(b, c), n)])
 
 
 def _identity_entry(name: str, passed: bool, max_degree: int, failures: list) -> dict:
@@ -366,7 +312,9 @@ def algebra_report(lam, hyp_b, hyp_c, max_degree: int, _tamper: bool = False) ->
 
     Verifies, with exact rational equality on every x^n (n <= max_degree):
     [K+, K-] = -2 K3, [K3, K+] = K+, [K3, K-] = -K-, and the canonical
-    pairs [K-, Kt+] = 1 for both operator classes.
+    pairs [K-, Kt+] = 1 for both operator classes.  Every operator maps a
+    monomial to a multiple of one monomial, so each side of an identity on
+    x^n is composed from single-term steps and compared degree by degree.
 
     ``_tamper`` is an internal negative-control hook that deliberately
     mis-parameterizes K3; it must make the suite fail.
@@ -384,21 +332,23 @@ def algebra_report(lam, hyp_b, hyp_c, max_degree: int, _tamper: bool = False) ->
     hkm = LadderOp.hyp_k_minus(hyp_b, hyp_c)
     hktp = LadderOp.hyp_k_tilde_plus(hyp_b, hyp_c)
 
+    # (name, A, B, right-hand operators, right-hand scale) for [A, B] = scale * ops
     checks = [
-        ("[K+, K-] = -2 K3", lambda p: commutator(kp, km, p), lambda p: apply(k3, p).scale(-2)),
-        ("[K3, K+] = K+", lambda p: commutator(k3, kp, p), lambda p: apply(kp, p)),
-        ("[K3, K-] = -K-", lambda p: commutator(k3, km, p), lambda p: -apply(km, p)),
-        ("[K-, Kt+] = 1", lambda p: commutator(km, ktp, p), lambda p: p),
-        ("[hypK-, hypKt+] = 1", lambda p: commutator(hkm, hktp, p), lambda p: p),
+        ("[K+, K-] = -2 K3", kp, km, (k3,), -2),
+        ("[K3, K+] = K+", k3, kp, (kp,), 1),
+        ("[K3, K-] = -K-", k3, km, (km,), -1),
+        ("[K-, Kt+] = 1", km, ktp, (), 1),
+        ("[hypK-, hypKt+] = 1", hkm, hktp, (), 1),
     ]
 
     identities = []
-    for name, lhs, rhs in checks:
-        failures = []
-        for n in range(max_degree + 1):
-            p = monomial(n)
-            if lhs(p) != rhs(p):
-                failures.append(n)
+    for name, op_a, op_b, rhs_ops, scale in checks:
+        failures = [
+            n
+            for n in range(max_degree + 1)
+            if _terms(_chain(n, (op_a, op_b)), _chain(n, (op_b, op_a), -1))
+            != _terms(_chain(n, rhs_ops, scale))
+        ]
         identities.append(_identity_entry(name, not failures, max_degree, failures))
 
     return {

@@ -15,6 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,6 +136,37 @@ def test_criterion_4_annihilation_property():
                 ]
                 assert residuals[-1] <= 1e-12
                 assert residuals[0] > residuals[1] > residuals[2]
+
+
+def _tail_ratio_squared(kt_factor, abs2, n_trunc):
+    # ||(K- + ev) s||^2 / ||s||^2 from the closed form: the residual is ev
+    # times the lone degree-N term t_N, and
+    # t_k^2 = |ev|^(2k) / k!^2 * prod_{j<k} kt_factor(j)^2
+    term2 = Fraction(1)
+    total = term2
+    for k in range(1, n_trunc + 1):
+        term2 *= abs2 * kt_factor(k - 1) ** 2 / (k * k)
+        total += term2
+    return abs2 * term2 / total
+
+
+def test_annihilation_residual_below_double_square_range():
+    # The squared ratio leaves the double range below about 1.5e-154, long
+    # before the residual itself does.  Laguerre stops at N = 100: at N = 120
+    # the true residual (about 5e-380) is below the smallest double.
+    cases = [
+        ("laguerre", 2, lambda j: Fraction(1) / (j + 3), (60, 80, 100)),
+        ("hypergeometric", (4, Fraction(5, 2)), lambda j: (j + 4) / (j + Fraction(5, 2)), (60, 80, 100, 120)),
+    ]
+    with mpmath.workdps(50):
+        for family, params, kt_factor, orders in cases:
+            for ev, abs2 in ((Fraction(3, 2), Fraction(9, 4)), (complex(2.0, 2.0), Fraction(8))):
+                residuals = [cstates.verify_annihilation(family, params, ev, n) for n in orders]
+                for n, got in zip(orders, residuals):
+                    ratio2 = _tail_ratio_squared(kt_factor, abs2, n)
+                    want = mpmath.sqrt(mpmath.mpf(ratio2.numerator) / ratio2.denominator)
+                    assert abs(got - want) <= 1e-15 * want, (family, ev, n, got, want)
+                assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
 
 def test_criterion_5_gegenbauer_hypergeometric_identity():

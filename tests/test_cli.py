@@ -44,6 +44,21 @@ def test_verify_algebra_tamper_hook_fails(tmp_path, capsys):
     assert "[K+, K-] = -2 K3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--lambda", "-3"], "Kt+ is degenerate at degree 2"),
+        (["--b", "0"], "hypK- is degenerate at degree 1"),
+        (["--c", "-1"], "hypKt+ is degenerate at degree 1"),
+        (["--b", "-2", "--c", "-2"], "hypKt+ is degenerate at degree 2"),
+    ],
+)
+def test_verify_algebra_degenerate_parameters(flags, message, capsys):
+    # the first vanishing denominator met by the identity suite is reported
+    assert run(["verify-algebra", "--max-degree", "5", *flags]) == 2
+    assert f"error: {message}:" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- cs-eval
 
 def test_cs_eval_deterministic(tmp_path):

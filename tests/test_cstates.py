@@ -22,6 +22,7 @@ from cohstates.cstates import (
     verify_annihilation,
     weights,
 )
+from cohstates.ladder import DegenerateParameterError
 
 
 # ------------------------------------------------------------------ builders
@@ -317,6 +318,27 @@ def test_annihilation_residual_decreases_factorially():
 def test_annihilation_complex_eigenvalue():
     res = verify_annihilation("laguerre", 2, 1.0 + 1.0j, 30)
     assert 0.0 < res <= 1e-12
+
+
+def test_annihilation_degenerate_parameter_names_degree():
+    # lam = -3 makes Kt+'s denominator n + 1 + lam vanish at degree 2
+    with pytest.raises(DegenerateParameterError) as err:
+        verify_annihilation("laguerre", -3, 1.0, 10)
+    assert (err.value.op_name, err.value.degree) == ("Kt+", 2)
+    # with ev = 0 the state is x^0 alone and Kt+ never reaches degree 2
+    assert verify_annihilation("laguerre", -3, 0.0, 10) == 0.0
+    # b = -2 zeroes the hypKt+ factor on x^2, so the state 1 + x/2 + x^2/12
+    # stops at degree 2 and neither hypKt+ (c = -4 at degree 4) nor hypK-
+    # (at degree 3) is applied past it; the residual is (1/12) / sqrt(181/144)
+    res = verify_annihilation("hypergeometric", (-2, -4), 1.0, 10)
+    assert res == pytest.approx(math.sqrt(1 / 181), rel=1e-15)
+
+
+@pytest.mark.parametrize("ev", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0)])
+def test_annihilation_rejects_non_finite_eigenvalue(ev):
+    with pytest.raises(ValueError, match="eigenvalue") as err:
+        verify_annihilation("laguerre", 2, ev, 10)
+    assert not isinstance(err.value, DegenerateParameterError)
 
 
 def test_annihilation_bad_family():

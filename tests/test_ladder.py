@@ -1,6 +1,7 @@
 """Exact-arithmetic tests for the monomial-basis ladder operators."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from cohstates.ladder import (
     DegenerateParameterError,
-    GaussianRational,
     LadderOp,
     MonoPoly,
     algebra_report,
@@ -161,6 +161,23 @@ def test_laguerre_operator_matches_float_recurrence_high_degree():
                 assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+def _laguerre_coeffs_exact(n, lam):
+    # L_n^lam = sum_k (-1)^k binom(n + lam, n - k) x^k / k!
+    out = []
+    for k in range(n + 1):
+        binom = Fraction(1)
+        for i in range(1, n - k + 1):
+            binom *= (lam + k + i) / i
+        out.append((-1) ** k * binom / math.factorial(k))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(-1, 2), Fraction(7, 3), Fraction(-13, 4)])
+def test_laguerre_from_operator_matches_coefficient_formula(lam):
+    for n in range(61):
+        assert laguerre_from_operator(n, lam).coeffs == _laguerre_coeffs_exact(n, lam)
+
+
 def test_laguerre_from_operator_degenerate_lambda():
     with pytest.raises(DegenerateParameterError):
         laguerre_from_operator(4, Fraction(-2))
@@ -189,7 +206,7 @@ def _hyp_series_coeffs_exact(n, b, c):
 
 @pytest.mark.parametrize("b,c", HYP_GRID)
 def test_hyp_from_operator_matches_series_coefficients(b, c):
-    for n in range(13):
+    for n in range(61):
         assert hyp_from_operator(n, b, c).coeffs == _hyp_series_coeffs_exact(n, b, c)
 
 
@@ -212,17 +229,6 @@ def test_monopoly_trims_trailing_zeros():
     assert MonoPoly.from_coeffs([0]).is_zero()
 
 
-def test_gaussian_rational_arithmetic():
-    z = GaussianRational(Fraction(1, 2), Fraction(3))
-    w = GaussianRational(Fraction(2), Fraction(-1, 3))
-    prod = z * w
-    assert prod.re == Fraction(1, 2) * 2 - Fraction(3) * Fraction(-1, 3)
-    assert prod.im == Fraction(1, 2) * Fraction(-1, 3) + Fraction(3) * 2
-    assert z.abs2() == Fraction(1, 4) + Fraction(9)
-    assert (z * Fraction(2)).re == Fraction(1)
-    assert not GaussianRational()
-
-
 def test_algebra_report_passes_and_tamper_fails():
     rep = algebra_report(Fraction(3, 2), Fraction(4), Fraction(5, 2), 15)
     assert rep["all_passed"]
@@ -230,3 +236,50 @@ def test_algebra_report_passes_and_tamper_fails():
     assert not bad["all_passed"]
     failing = [e["identity"] for e in bad["identities"] if not e["passed"]]
     assert "[K+, K-] = -2 K3" in failing
+
+
+def _reference_report(lam, b, c, max_degree, tamper):
+    # algebra_report's verdicts through the public polynomial path:
+    # (passed, first_failure_degree) per identity, or the degenerate operator
+    kp, km, ktp = LadderOp.k_plus(lam), LadderOp.k_minus(lam), LadderOp.k_tilde_plus(lam)
+    k3 = LadderOp.k3(lam + 1 if tamper else lam)
+    hkm, hktp = LadderOp.hyp_k_minus(b, c), LadderOp.hyp_k_tilde_plus(b, c)
+    checks = [
+        (lambda p: commutator(kp, km, p), lambda p: apply(k3, p).scale(-2)),
+        (lambda p: commutator(k3, kp, p), lambda p: apply(kp, p)),
+        (lambda p: commutator(k3, km, p), lambda p: -apply(km, p)),
+        (lambda p: commutator(km, ktp, p), lambda p: p),
+        (lambda p: commutator(hkm, hktp, p), lambda p: p),
+    ]
+    out = []
+    try:
+        for lhs, rhs in checks:
+            failures = [n for n in range(max_degree + 1) if lhs(monomial(n)) != rhs(monomial(n))]
+            out.append((not failures, failures[0] if failures else None))
+    except DegenerateParameterError as err:
+        return (err.op_name, err.degree)
+    return out
+
+
+def test_algebra_report_matches_polynomial_path():
+    # seeded rationals, negative integers included so that some draws are
+    # degenerate and must stop at the same operator and degree
+    rng = random.Random(20240611)
+    draw = lambda: Fraction(rng.randint(-12, 12), rng.choice([2, 3, 5, 7]))  # noqa: E731
+    # lam = 0 and c = 1 put a vanishing denominator at degree -1, just past
+    # K- x^0 = 0, where a chain must already have stopped
+    cases = [(Fraction(0), Fraction(4), Fraction(1), 10)]
+    cases += [(draw(), draw(), draw(), rng.randint(1, 30)) for _ in range(30)]
+    degenerate = 0
+    for lam, b, c, max_degree in cases:
+        for tamper in (False, True):
+            want = _reference_report(lam, b, c, max_degree, tamper)
+            try:
+                rep = algebra_report(lam, b, c, max_degree, _tamper=tamper)
+            except DegenerateParameterError as err:
+                got = (err.op_name, err.degree)
+                degenerate += 1
+            else:
+                got = [(e["passed"], e.get("first_failure_degree")) for e in rep["identities"]]
+            assert got == want, (lam, b, c, max_degree, tamper)
+    assert 0 < degenerate < 60
