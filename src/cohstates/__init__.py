@@ -41,7 +41,7 @@ from .ladder import (
     laguerre_from_operator,
     monomial,
 )
-from .specfun import bessel_j, gegenbauer, hyp_terminating, laguerre, ln_gamma, pochhammer
+from .specfun import bessel_j, gegenbauer, hyp_terminating, laguerre, ln_gamma
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,5 @@ __all__ = [
     "hyp_terminating",
     "laguerre",
     "ln_gamma",
-    "pochhammer",
     "__version__",
 ]

@@ -14,9 +14,14 @@ A state is a lowering-operator eigenstate expanded over a polynomial family:
 Normalization uses the natural orthogonality norms of each family
 (weight x^lam e^-x on [0, inf) for Laguerre; (1-y^2)^(rho-1/2) on [-1, 1]
 for Gegenbauer), which turn the expansion coefficients into level
-populations.  Coefficients and norms are computed through log-Gamma
-differences so that truncation orders up to the hard cap of 500 never
-overflow.
+populations.  Each family is described once, as data in ``_SPECS``: the
+shift s in c_n = Gamma(s) ev^n / Gamma(s+n), h_0 and the ratio h_{n+1}/h_n
+of its squared norms, and its three-term recurrence (from ``specfun``).
+|c_n| and h_n are built from their ratios, c_{n+1}/c_n = ev/(s+n), as
+cumulative sums of logs, so truncation orders up to the hard cap of 500
+never overflow.  The default truncation order is the smallest whose
+weighted tail is at most tail_tol^2 of the head; a state that does not fit
+under the cap is rejected.
 
 ``verify_annihilation`` rebuilds the truncated eigenstate on the monomial
 basis one exact rational coefficient per degree and measures the residual
@@ -32,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,32 +92,66 @@ class CSExpansion:
         return len(self.coeffs) - 1
 
 
-def _log_h(family: Family, index: float, n: int) -> float:
-    """Log of the squared orthogonality norm h_n of the n-th polynomial."""
-    if family is Family.LAGUERRE:
-        # integral of (L_n^lam)^2 x^lam e^-x = Gamma(n+lam+1)/n!
-        return specfun.ln_gamma(n + index + 1.0) - specfun.ln_gamma(n + 1.0)
-    # integral of (C_n^rho)^2 (1-y^2)^(rho-1/2)
-    #   = pi 2^(1-2 rho) Gamma(n+2 rho) / (n! (n+rho) Gamma(rho)^2)
-    rho = index
-    return (
-        math.log(math.pi)
-        + (1.0 - 2.0 * rho) * math.log(2.0)
-        + specfun.ln_gamma(n + 2.0 * rho)
-        - specfun.ln_gamma(n + 1.0)
-        - math.log(n + rho)
-        - 2.0 * specfun.ln_gamma(rho)
-    )
+class _Spec(NamedTuple):
+    """One polynomial family as data.  The index must exceed ``index_floor``;
+    ``shift`` gives s in c_n = Gamma(s) ev^n / Gamma(s+n); ``log_h0`` and
+    ``h_ratio`` give log h_0 and h_{n+1}/h_n of the squared norms; ``values``
+    runs the three-term recurrence, (n_max, index, point) -> P_0..P_n_max."""
+
+    index_floor: float
+    index_rule: str
+    shift: Callable[[float], float]
+    log_h0: Callable[[float], float]
+    h_ratio: Callable[[float, np.ndarray], np.ndarray]
+    values: Callable[[int, float, float], list]
 
 
-def _gamma_shift(family: Family, index: float) -> float:
-    """The s in coeffs[n] = Gamma(s) ev^n / Gamma(s+n)."""
-    return index + 1.0 if family is Family.LAGUERRE else 2.0 * index
+_SPECS = {
+    # h_n = integral of (L_n^lam)^2 x^lam e^-x = Gamma(n+lam+1)/n!
+    Family.LAGUERRE: _Spec(
+        index_floor=-1.0,
+        index_rule="Laguerre index must satisfy lam > -1",
+        shift=lambda lam: lam + 1.0,
+        log_h0=lambda lam: specfun.ln_gamma(lam + 1.0),
+        h_ratio=lambda lam, n: (n + lam + 1.0) / (n + 1.0),
+        values=specfun._laguerre_values,
+    ),
+    # h_n = integral of (C_n^rho)^2 (1-y^2)^(rho-1/2)
+    #     = pi 2^(1-2 rho) Gamma(n+2 rho) / (n! (n+rho) Gamma(rho)^2)
+    Family.POSCHL_TELLER: _Spec(
+        index_floor=0.0,
+        index_rule="index must satisfy rho > 0",
+        shift=lambda rho: 2.0 * rho,
+        log_h0=lambda rho: (
+            math.log(math.pi)
+            + (1.0 - 2.0 * rho) * math.log(2.0)
+            + specfun.ln_gamma(2.0 * rho)
+            - math.log(rho)
+            - 2.0 * specfun.ln_gamma(rho)
+        ),
+        h_ratio=lambda rho, n: (n + 2.0 * rho) * (n + rho) / ((n + 1.0) * (n + 1.0 + rho)),
+        values=specfun._gegenbauer_values,
+    ),
+}
 
 
-def _log_coeff_mag(family: Family, index: float, ev_abs: float, n: int) -> float:
-    s = _gamma_shift(family, index)
-    return specfun.ln_gamma(s) - specfun.ln_gamma(s + n) + n * math.log(ev_abs)
+def _check_index(family: Family, index: float) -> None:
+    spec = _SPECS[family]
+    if not index > spec.index_floor:
+        raise ValueError(f"{spec.index_rule}, got {index!r}")
+
+
+def _log_h(family: Family, index: float, n_max: int) -> np.ndarray:
+    """log h_n for n = 0..n_max, from h_0 and the ratios h_{n+1}/h_n."""
+    spec = _SPECS[family]
+    steps = np.log(spec.h_ratio(index, np.arange(n_max)))
+    return spec.log_h0(index) + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _log_coeff_mags(family: Family, index: float, ev_abs: float, n_max: int) -> np.ndarray:
+    """log |c_n| for n = 0..n_max, from c_0 = 1 and c_{n+1}/c_n = ev/(s+n)."""
+    steps = math.log(ev_abs) - np.log(_SPECS[family].shift(index) + np.arange(n_max))
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _coeff_vector(family: Family, index: float, ev: complex, order: int) -> np.ndarray:
@@ -120,34 +159,32 @@ def _coeff_vector(family: Family, index: float, ev: complex, order: int) -> np.n
         out = np.zeros(order + 1, dtype=complex)
         out[0] = 1.0
         return out
-    mag = np.array(
-        [_log_coeff_mag(family, index, abs(ev), n) for n in range(order + 1)]
-    )
+    mag = _log_coeff_mags(family, index, abs(ev), order)
     phase = cmath.phase(complex(ev)) * np.arange(order + 1)
     return np.exp(mag + 1j * phase)
 
 
 def _pick_order(family: Family, index: float, ev: complex, tail_tol: float) -> int:
-    """Smallest order whose weighted tail is below tail_tol^2 of the head."""
+    """Smallest order N whose weighted tail sum_{n>N} |c_n|^2 h_n is at most
+    tail_tol^2 times the head sum_{n<=N} |c_n|^2 h_n.
+
+    The tail is a reverse cumulative sum, so it stays resolved far below the
+    rounding error of the head.  One weight past ORDER_CAP stands for the
+    tail the cap cuts off, so a state that does not fit raises ValueError.
+    """
     if ev == 0:
         return 0
-    logw = np.array(
-        [
-            2.0 * _log_coeff_mag(family, index, abs(ev), n)
-            + _log_h(family, index, n)
-            for n in range(ORDER_CAP + 1)
-        ]
-    )
+    n_max = ORDER_CAP + 1
+    logw = 2.0 * _log_coeff_mags(family, index, abs(ev), n_max) + _log_h(family, index, n_max)
     w = np.exp(logw - logw.max())
-    head = np.cumsum(w)
-    total = head[-1]
-    tol2 = tail_tol * tail_tol
-    for n in range(ORDER_CAP + 1):
-        if total - head[n] <= tol2 * head[n]:
-            return n
-    raise ValueError(
-        f"tail tolerance {tail_tol!r} not reachable within order cap {ORDER_CAP}"
-    )
+    head = np.cumsum(w)[:-1]
+    tail = np.cumsum(w[::-1])[-2::-1]
+    fits = np.flatnonzero(tail <= tail_tol * tail_tol * head)
+    if not fits.size:
+        raise ValueError(
+            f"tail tolerance {tail_tol!r} not reachable within order cap {ORDER_CAP}"
+        )
+    return int(fits[0])
 
 
 def _build(
@@ -158,6 +195,7 @@ def _build(
     order: Optional[int],
     measure_hook,
 ) -> CSExpansion:
+    _check_index(family, index)
     if tail_tol is not None and not tail_tol > 0.0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tol!r}")
     if order is None:
@@ -186,11 +224,10 @@ def build_laguerre_cs(
     Gamma(lam+1) alpha^n / Gamma(lam+n+1), normalized.
 
     The truncation order is the smallest N whose weighted tail
-    sum_{n>N} |c_n|^2 h_n is below tail_tol^2 times the head, unless an
-    explicit ``order`` is given.
+    sum_{n>N} |c_n|^2 h_n is at most tail_tol^2 times the head, unless an
+    explicit ``order`` is given; a state that needs more than ORDER_CAP
+    levels raises ValueError.
     """
-    if not lam > -1.0:
-        raise ValueError(f"Laguerre index must satisfy lam > -1, got {lam!r}")
     return _build(Family.LAGUERRE, lam, alpha, tail_tol, order, measure_hook)
 
 
@@ -202,9 +239,8 @@ def build_pt_cs(
     measure_hook=None,
 ) -> CSExpansion:
     """Build the Poschl-Teller-class state with coefficients
-    Gamma(2 rho) q^n / Gamma(2 rho + n), normalized."""
-    if not rho > 0.0:
-        raise ValueError(f"index must satisfy rho > 0, got {rho!r}")
+    Gamma(2 rho) q^n / Gamma(2 rho + n), normalized, truncated as in
+    ``build_laguerre_cs``."""
     return _build(Family.POSCHL_TELLER, rho, q, tail_tol, order, measure_hook)
 
 
@@ -213,8 +249,7 @@ def _log_weight_terms(cs: CSExpansion) -> np.ndarray:
     mags = np.abs(cs.coeffs)
     logs = np.full(len(mags), -np.inf)
     nz = mags > 0.0
-    logh = np.array([_log_h(cs.family, cs.index, n) for n in range(len(mags))])
-    logs[nz] = 2.0 * np.log(mags[nz]) + logh[nz]
+    logs[nz] = 2.0 * np.log(mags[nz]) + _log_h(cs.family, cs.index, cs.order)[nz]
     return logs
 
 
@@ -234,17 +269,22 @@ def weights(cs: CSExpansion) -> np.ndarray:
     return np.exp(logs - 2.0 * math.log(cs.norm))
 
 
+def _evaluate(cs: CSExpansion, point: float) -> complex:
+    """sum_n coeffs[n] P_n(point) / norm, times the measure hook if set."""
+    values = _SPECS[cs.family].values(cs.order, cs.index, point)
+    out = complex(np.sum(cs.coeffs * np.array(values))) / cs.norm
+    if cs.measure_hook is not None:
+        out *= cs.measure_hook(point)
+    return out
+
+
 def eval_laguerre_cs(cs: CSExpansion, x: float) -> complex:
     """Evaluate the normalized Laguerre-class state at x >= 0."""
     if cs.family is not Family.LAGUERRE:
         raise ValueError(f"expected a Laguerre-class state, got {cs.family}")
     if x < 0.0:
         raise ValueError(f"Laguerre-class argument must satisfy x >= 0, got {x!r}")
-    acc = _series_eval(cs.coeffs, lambda n_max: _laguerre_values(n_max, cs.index, x))
-    out = acc / cs.norm
-    if cs.measure_hook is not None:
-        out *= cs.measure_hook(x)
-    return out
+    return _evaluate(cs, x)
 
 
 def eval_pt_cs(cs: CSExpansion, y: float) -> complex:
@@ -253,48 +293,23 @@ def eval_pt_cs(cs: CSExpansion, y: float) -> complex:
         raise ValueError(f"expected a Poschl-Teller-class state, got {cs.family}")
     if abs(y) > 1.0:
         raise ValueError(f"argument must lie in [-1, 1], got {y!r}")
-    acc = _series_eval(cs.coeffs, lambda n_max: _gegenbauer_values(n_max, cs.index, y))
-    out = acc / cs.norm
-    if cs.measure_hook is not None:
-        out *= cs.measure_hook(y)
-    return out
+    return _evaluate(cs, y)
 
 
-def _laguerre_values(n_max: int, lam: float, x: float) -> np.ndarray:
-    vals = np.empty(n_max + 1)
-    vals[0] = 1.0
-    if n_max >= 1:
-        vals[1] = 1.0 + lam - x
-    for k in range(1, n_max):
-        vals[k + 1] = ((2.0 * k + 1.0 + lam - x) * vals[k] - (k + lam) * vals[k - 1]) / (k + 1.0)
-    return vals
-
-
-def _gegenbauer_values(n_max: int, rho: float, y: float) -> np.ndarray:
-    vals = np.empty(n_max + 1)
-    vals[0] = 1.0
-    if n_max >= 1:
-        vals[1] = 2.0 * rho * y
-    for k in range(1, n_max):
-        vals[k + 1] = (2.0 * (k + rho) * y * vals[k] - (k + 2.0 * rho - 1.0) * vals[k - 1]) / (k + 1.0)
-    return vals
-
-
-def _series_eval(coeffs: np.ndarray, poly_values) -> complex:
-    vals = poly_values(len(coeffs) - 1)
-    return complex(np.sum(coeffs * vals))
+def _series_sum(family: Family, index: float, ev: complex, point: float, n_terms: int) -> complex:
+    _check_index(family, index)
+    coeffs = _coeff_vector(family, index, ev, n_terms)
+    return _evaluate(CSExpansion(family, index, complex(ev), coeffs, 1.0), point)
 
 
 def laguerre_series_sum(lam: float, alpha: complex, x: float, n_terms: int) -> complex:
     """Unnormalized partial sum sum_{n<=n_terms} c_n L_n^lam(x)."""
-    coeffs = _coeff_vector(Family.LAGUERRE, lam, alpha, n_terms)
-    return _series_eval(coeffs, lambda n_max: _laguerre_values(n_max, lam, x))
+    return _series_sum(Family.LAGUERRE, lam, alpha, x, n_terms)
 
 
 def pt_series_sum(rho: float, q: complex, y: float, n_terms: int) -> complex:
     """Unnormalized partial sum sum_{n<=n_terms} d_n C_n^rho(y)."""
-    coeffs = _coeff_vector(Family.POSCHL_TELLER, rho, q, n_terms)
-    return _series_eval(coeffs, lambda n_max: _gegenbauer_values(n_max, rho, y))
+    return _series_sum(Family.POSCHL_TELLER, rho, q, y, n_terms)
 
 
 def eval_laguerre_cs_closed(lam: float, alpha: float, x: float) -> float:
@@ -304,8 +319,7 @@ def eval_laguerre_cs_closed(lam: float, alpha: float, x: float) -> float:
     Restricted to real alpha > 0 and x > 0 so the power prefactor needs no
     branch choice.
     """
-    if not lam > -1.0:
-        raise ValueError(f"Laguerre index must satisfy lam > -1, got {lam!r}")
+    _check_index(Family.LAGUERRE, lam)
     if not (alpha > 0.0 and x > 0.0):
         raise ValueError(f"closed form requires alpha > 0 and x > 0, got {alpha!r}, {x!r}")
     xa = x * alpha
@@ -326,8 +340,7 @@ def eval_pt_cs_closed(rho: float, q: float, theta: float) -> float:
     Restricted to q > 0 and theta strictly inside (0, pi), where the power
     prefactor is finite and real.
     """
-    if not rho > 0.0:
-        raise ValueError(f"index must satisfy rho > 0, got {rho!r}")
+    _check_index(Family.POSCHL_TELLER, rho)
     if not q > 0.0:
         raise ValueError(f"closed form requires q > 0, got {q!r}")
     if not 0.0 < theta < math.pi:

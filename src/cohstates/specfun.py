@@ -1,18 +1,19 @@
 """Scalar special functions used throughout the package.
 
-Provides log-Gamma, the Pochhammer symbol, Bessel J of real order, and the
-three polynomial families (generalized Laguerre, Gegenbauer, terminating
-Gauss hypergeometric) evaluated by numerically stable routes:
+Provides log-Gamma, Bessel J of real order, and the three polynomial
+families (generalized Laguerre, Gegenbauer, terminating Gauss
+hypergeometric):
 
+* ``ln_gamma`` is ``math.lgamma`` behind the package's domain checks.
+* ``bessel_j`` is ``mpmath.besselj`` at double precision, with the package's
+  contract at x = 0 (1, 0 or a signed infinity at the singular point).
 * ``laguerre`` and ``gegenbauer`` use the standard upward three-term
-  recurrences, which are stable on the orthogonality domains.
+  recurrences, which are stable on the orthogonality domains.  Each
+  recurrence is written once, as a private function returning every degree
+  0..n, which ``cstates`` sums its expansions with.
 * ``hyp_terminating`` sums the finite series in exact rational arithmetic
   internally, so alternating-term cancellation never degrades the result
   beyond the final rounding to float.
-* ``bessel_j`` sums the ascending power series with adaptively raised
-  working precision (the series alternates and loses roughly 0.9*x decimal
-  digits to cancellation near the peak term).  Designed and validated for
-  0 <= x <= 50; no asymptotic branch is provided.
 
 All functions here are pure and deterministic.
 """
@@ -26,108 +27,68 @@ import mpmath
 
 __all__ = [
     "ln_gamma",
-    "pochhammer",
     "laguerre",
     "gegenbauer",
     "hyp_terminating",
     "bessel_j",
 ]
 
-# Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
-# Gives |lnGamma| error below ~2e-15 (mixed relative) on [0.5, 200].
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# One shared double-precision context: cloning a context per call costs about
+# ten times the Bessel evaluation itself.  Its precision is never changed.
+_MP = mpmath.mp.clone()
+_MP.prec = 53
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
+    """Natural log of the Gamma function for x > 0, by ``math.lgamma``.
 
-    Uses a fixed-coefficient Lanczos approximation for x >= 0.5 and the
-    reflection formula on (0, 0.5).  Raises ValueError for x <= 0 or
-    non-finite input.
+    Raises ValueError for x <= 0 or non-finite input.
     """
     if not math.isfinite(x):
         raise ValueError(f"ln_gamma requires a finite argument, got {x!r}")
     if x <= 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1.
+def _laguerre_values(n: int, lam: float, x: float) -> list[float]:
+    """L_k^lam(x) for k = 0..n by the upward recurrence
+    (k+1) L_{k+1} = (2k+1+lam-x) L_k - (k+lam) L_{k-1}."""
+    vals = [1.0, 1.0 + lam - x]
+    for k in range(1, n):
+        vals.append(((2.0 * k + 1.0 + lam - x) * vals[k] - (k + lam) * vals[k - 1]) / (k + 1.0))
+    return vals[: n + 1]
 
-    Degenerate products are allowed: if a is a non-positive integer hit by
-    the product, the result is exactly 0.
-    """
-    if n < 0:
-        raise ValueError(f"pochhammer order must be non-negative, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
+
+def _gegenbauer_values(n: int, rho: float, y: float) -> list[float]:
+    """C_k^rho(y) for k = 0..n by the upward recurrence
+    (k+1) C_{k+1} = 2(k+rho) y C_k - (k+2rho-1) C_{k-1}."""
+    vals = [1.0, 2.0 * rho * y]
+    for k in range(1, n):
+        vals.append((2.0 * (k + rho) * y * vals[k] - (k + 2.0 * rho - 1.0) * vals[k - 1]) / (k + 1.0))
+    return vals[: n + 1]
 
 
 def laguerre(n: int, lam: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^lam(x), lam > -1.
-
-    Upward recurrence (k+1) L_{k+1} = (2k+1+lam-x) L_k - (k+lam) L_{k-1}.
-    """
+    """Generalized Laguerre polynomial L_n^lam(x), lam > -1, by the upward
+    three-term recurrence."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     if not lam > -1.0:
         raise ValueError(f"Laguerre index must satisfy lam > -1, got {lam!r}")
-    l0 = 1.0
-    if n == 0:
-        return l0
-    l1 = 1.0 + lam - x
-    for k in range(1, n):
-        l0, l1 = l1, ((2.0 * k + 1.0 + lam - x) * l1 - (k + lam) * l0) / (k + 1.0)
-    return l1
+    return _laguerre_values(n, lam, x)[-1]
 
 
 def gegenbauer(n: int, rho: float, y: float) -> float:
-    """Gegenbauer polynomial C_n^rho(y) for rho > 0 and |y| <= 1.
-
-    Upward recurrence (k+1) C_{k+1} = 2(k+rho) y C_k - (k+2rho-1) C_{k-1}.
-    """
+    """Gegenbauer polynomial C_n^rho(y) for rho > 0 and |y| <= 1, by the
+    upward three-term recurrence."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     if not rho > 0.0:
         raise ValueError(f"Gegenbauer index must satisfy rho > 0, got {rho!r}")
     if abs(y) > 1.0:
         raise ValueError(f"argument must lie in [-1, 1], got {y!r}")
-    c0 = 1.0
-    if n == 0:
-        return c0
-    c1 = 2.0 * rho * y
-    for k in range(1, n):
-        c0, c1 = c1, (2.0 * (k + rho) * y * c1 - (k + 2.0 * rho - 1.0) * c0) / (k + 1.0)
-    return c1
+    return _gegenbauer_values(n, rho, y)[-1]
 
 
 def hyp_terminating(n: int, b: float, c: float, z: float) -> float:
@@ -158,27 +119,17 @@ def hyp_terminating(n: int, b: float, c: float, z: float) -> float:
     return float(total)
 
 
-def _reciprocal_gamma(t: float) -> float:
-    """1 / Gamma(t) for any real t; exactly 0 at the poles t = 0, -1, -2, ..."""
-    if t > 0.0:
-        return math.exp(-ln_gamma(t))
-    if t == math.floor(t):
-        return 0.0
-    # reflection: 1/Gamma(t) = Gamma(1-t) sin(pi t) / pi, with 1-t > 0
-    return math.exp(ln_gamma(1.0 - t)) * math.sin(math.pi * t) / math.pi
-
-
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for real order nu and x >= 0.
 
-    Ascending series sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), summed
-    with working precision raised adaptively so that cancellation near the
-    peak term cannot contaminate the double-precision result; the truncation
-    tail is driven below 1e-14 relative.  Validated for x <= 50.
+    ``mpmath.besselj`` evaluated in a 53-bit context and rounded to float;
+    mpmath raises its working precision internally where the series
+    cancels.  Validated against 50-digit references for 0 < x <= 50.
 
-    For x = 0 with nu < 0 and non-integer, the series diverges; a signed
-    infinity is returned so that callers can detect the singular point.
-    Raises ValueError for x < 0.
+    At x = 0 the result is 1 for nu = 0 and 0 for nu > 0 or integer nu.  For
+    nu < 0 and non-integer the function is singular there; a signed infinity
+    (the sign of 1/Gamma(nu+1)) is returned so that callers can detect the
+    singular point.  Raises ValueError for non-finite arguments and x < 0.
     """
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise ValueError(f"bessel_j requires finite arguments, got nu={nu!r}, x={x!r}")
@@ -189,38 +140,5 @@ def bessel_j(nu: float, x: float) -> float:
             return 1.0
         if nu > 0.0 or nu == math.floor(nu):
             return 0.0
-        return math.copysign(math.inf, _reciprocal_gamma(nu + 1.0))
-
-    # Working precision: ~16 digits plus the cancellation loss, which is
-    # bounded by log10 of the peak term ~ e^x / sqrt(2 pi x).  A private
-    # context keeps the routine reentrant (no global precision is touched).
-    ctx = mpmath.mp.clone()
-    ctx.dps = 26 + int(0.45 * x)
-    nu_ = ctx.mpf(nu)
-    half = ctx.mpf(x) / 2
-    half2 = half * half
-    tol = ctx.mpf(10) ** (-(ctx.dps - 2))
-    total = ctx.mpf(0)
-    term = half**nu_ * ctx.rgamma(nu_ + 1)
-    k = 0
-    while True:
-        total += term
-        den = (k + 1) * (nu_ + k + 1)
-        if den == 0:
-            # pole of Gamma in the k=0..m leading terms (negative integer
-            # order): restart the running term past the pole
-            k += 1
-            term = (
-                (-1) ** k
-                * half ** (nu_ + 2 * k)
-                * ctx.rgamma(nu_ + k + 1)
-                / ctx.factorial(k)
-            )
-            continue
-        term = -term * half2 / den
-        k += 1
-        if k >= 12 and abs(term) <= tol * max(1, abs(total)):
-            break
-        if k > 5000:  # pragma: no cover - unreachable for sane arguments
-            raise RuntimeError(f"bessel_j series did not converge for nu={nu}, x={x}")
-    return float(total)
+        return math.copysign(math.inf, _MP.rgamma(nu + 1.0))
+    return float(_MP.besselj(nu, x))

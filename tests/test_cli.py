@@ -99,6 +99,14 @@ def test_cs_eval_bad_grid_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cs_eval_state_beyond_order_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = run(["cs-eval", "--family", "pt", "--rho", "2", "--q", "1000", "-o", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "not reachable within order cap 500" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- closed-form-check
 
 def test_closed_form_check_laguerre(tmp_path, capsys):

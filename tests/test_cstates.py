@@ -73,12 +73,11 @@ def _pt_logw_oracle(rho, q, n):
 
 
 def _truncation_oracle(logw_fn, tol, cap=500):
-    logw = np.array([logw_fn(n) for n in range(cap + 1)])
-    w = np.exp(logw - logw.max())
-    head = np.cumsum(w)
-    total = head[-1]
+    # the documented rule: the smallest n whose tail sum_{m>n} w_m is at most
+    # tol^2 times the head sum_{m<=n} w_m, both summed exactly rounded by fsum
+    w = [math.exp(logw_fn(n)) for n in range(cap + 2)]
     for n in range(cap + 1):
-        if total - head[n] <= tol * tol * head[n]:
+        if math.fsum(w[n + 1:]) <= tol * tol * math.fsum(w[: n + 1]):
             return n
     raise AssertionError("oracle found no truncation order")
 
@@ -101,6 +100,17 @@ def test_pt_truncation_matches_bruteforce_oracle():
     assert cs.order == _truncation_oracle(lambda n: _pt_logw_oracle(rho, q, n), tol)
 
 
+@pytest.mark.parametrize("build", [build_laguerre_cs, build_pt_cs])
+def test_states_beyond_order_cap_are_rejected(build):
+    # at |ev| = 450 the populations still carry ~1e-4 at level 500
+    with pytest.raises(ValueError, match="not reachable within order cap 500"):
+        build(2.0, 450.0)
+    cs = build(2.0, 350.0)
+    p = weights(cs)
+    assert cs.order <= cstates.ORDER_CAP
+    assert abs(p.sum() - 1.0) <= 1e-12 and p[-1] <= 1e-24
+
+
 def test_explicit_order_override():
     cs = build_laguerre_cs(2.0, 3.0, order=80)
     assert cs.order == 80
@@ -117,16 +127,20 @@ def test_builder_domain_errors():
 
 # -------------------------------------------------------- normalize & weights
 
-def test_normalize_direct_sum_oracle():
-    lam, alpha = 2.0, 3.0
-    cs = build_laguerre_cs(lam, alpha)
-    norm2 = sum(math.exp(_laguerre_logw_oracle(lam, alpha, n)) for n in range(cs.order + 1))
-    assert cs.norm == pytest.approx(math.sqrt(norm2), rel=1e-12)
+STATES = [
+    (build_pt_cs, _pt_logw_oracle, 2.0, 5.0),
+    (build_pt_cs, _pt_logw_oracle, 0.5, 20.0),
+    (build_pt_cs, _pt_logw_oracle, 4.0, 1.0),
+    (build_laguerre_cs, _laguerre_logw_oracle, 2.0, 3.0),
+    (build_laguerre_cs, _laguerre_logw_oracle, -0.9, 6.0),
+]
 
-    rho, q = 2.0, 5.0
-    cs = build_pt_cs(rho, q)
-    norm2 = sum(math.exp(_pt_logw_oracle(rho, q, n)) for n in range(cs.order + 1))
-    assert cs.norm == pytest.approx(math.sqrt(norm2), rel=1e-12)
+
+def test_normalize_direct_sum_oracle():
+    for build, logw_oracle, index, ev in STATES:
+        cs = build(index, ev)
+        norm2 = sum(math.exp(logw_oracle(index, ev, n)) for n in range(cs.order + 1))
+        assert cs.norm == pytest.approx(math.sqrt(norm2), rel=1e-12), (index, ev)
 
 
 def test_normalize_is_idempotent():
@@ -149,15 +163,15 @@ def test_weights_alpha_zero():
 
 
 def test_weights_direct_oracle_and_unimodality():
-    rho, q = 2.0, 5.0
-    cs = build_pt_cs(rho, q)
-    p = weights(cs)
-    logw = np.array([_pt_logw_oracle(rho, q, n) for n in range(cs.order + 1)])
-    expected = np.exp(logw)
-    expected /= expected.sum()
-    assert np.allclose(p, expected, rtol=1e-11, atol=0.0)
-    rising = np.flatnonzero(np.diff(p) > 0)
-    assert rising.size and rising.max() == rising.size - 1  # single ascent, then descent
+    for build, logw_oracle, index, ev in STATES:
+        cs = build(index, ev)
+        p = weights(cs)
+        logw = np.array([logw_oracle(index, ev, n) for n in range(cs.order + 1)])
+        expected = np.exp(logw)
+        expected /= expected.sum()
+        assert np.allclose(p, expected, rtol=1e-11, atol=0.0), (index, ev)
+        rising = np.flatnonzero(np.diff(p) > 0)
+        assert np.array_equal(rising, np.arange(rising.size)), (index, ev)  # ascent, then descent
 
 
 # ----------------------------------------------------------------- evaluation

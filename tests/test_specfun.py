@@ -3,10 +3,9 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cohstates import specfun
 
@@ -62,36 +61,6 @@ def test_ln_gamma_domain(bad):
         specfun.ln_gamma(bad)
 
 
-# -------------------------------------------------------------- pochhammer
-
-def test_pochhammer_empty_product():
-    assert specfun.pochhammer(3.7, 0) == 1.0
-
-
-def test_pochhammer_direct():
-    assert specfun.pochhammer(2.0, 3) == 24.0  # 2*3*4
-
-
-def test_pochhammer_gamma_ratio():
-    # (lam+1)_n = Gamma(lam+n+1) / Gamma(lam+1)
-    lam, n = 1.5, 7
-    direct = specfun.pochhammer(lam + 1.0, n)
-    via_gamma = math.exp(specfun.ln_gamma(lam + 1.0 + n) - specfun.ln_gamma(lam + 1.0))
-    assert abs(direct - via_gamma) <= 1e-12 * abs(via_gamma)
-
-
-def test_pochhammer_degenerate_zero():
-    assert specfun.pochhammer(-2.0, 5) == 0.0
-
-
-@given(st.floats(min_value=0.01, max_value=30.0), st.integers(min_value=0, max_value=25))
-@settings(max_examples=200)
-def test_pochhammer_gamma_equality_property(a, n):
-    direct = specfun.pochhammer(a, n)
-    via_gamma = math.exp(specfun.ln_gamma(a + n) - specfun.ln_gamma(a))
-    assert abs(direct - via_gamma) <= 1e-12 * abs(via_gamma)
-
-
 # ---------------------------------------------------------------- laguerre
 
 def test_laguerre_degree_zero_and_one():
@@ -139,7 +108,7 @@ def test_gegenbauer_hypergeometric_identity_spot():
     # F(-n, n+2 rho; rho+1/2; z) = n!/(2 rho)_n C_n^rho(1-2z) at n=6, rho=2, z=0.3
     n, rho, z = 6, 2.0, 0.3
     lhs = specfun.hyp_terminating(n, n + 2 * rho, rho + 0.5, z)
-    scale = math.factorial(n) / specfun.pochhammer(2 * rho, n)
+    scale = math.factorial(n) / math.prod(2 * rho + k for k in range(n))  # n!/(2 rho)_n
     rhs = scale * specfun.gegenbauer(n, rho, 1.0 - 2.0 * z)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -212,6 +181,18 @@ def _bessel_series_reference(nu, x, terms=60):
             math.factorial(k) * math.gamma(t)
         )
     return total
+
+
+@pytest.mark.parametrize("nu", [-3.5, -2.5, -0.5, 0.0, 0.5, 1.5, 2.0, 3.7, 10.0, 19.5])
+def test_bessel_against_50_digit_hypergeometric(nu):
+    # J_nu(x) = (x/2)^nu / Gamma(nu+1) 0F1(; nu+1; -x^2/4), at 50 digits
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    for x in [0.01, 0.3] + [float(x) for x in np.linspace(0.0, 50.0, 51)[1:]]:
+        half = ctx.mpf(x) / 2
+        ref = half**nu * ctx.rgamma(nu + 1) * ctx.hyp0f1(nu + 1, -half * half)
+        got = specfun.bessel_j(nu, x)
+        assert abs(got - ref) <= 2.2e-16 * abs(ref), (nu, x)
 
 
 def test_bessel_first_zero_located_by_bisection():
