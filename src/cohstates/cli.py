@@ -207,7 +207,7 @@ def _cmd_autocorr(args) -> int:
     ]
     _emit(_csv_text(["t", "re", "im", "abs2"], rows), args.output)
     if args.output is not None:
-        print(f"autocorr: wrote {len(rows)} rows, t in [0, {_fmt(t_max)}]")
+        print(f"autocorr: wrote {len(rows)} rows, t in [{_fmt(args.t_min)}, {_fmt(t_max)}]")
     return 0
 
 
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

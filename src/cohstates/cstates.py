@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 ORDER_CAP = 500
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Family(Enum):
@@ -76,8 +78,6 @@ class CSExpansion:
     ``index`` is the family parameter (lam for the Laguerre class, rho for
     the Poschl-Teller class).  ``coeffs[n]`` multiplies the n-th family
     polynomial; ``norm`` is the weighted l2 norm of the truncated expansion.
-    ``measure_hook``, when set, multiplies every evaluation by a
-    caller-supplied ground-state factor of the spatial variable.
     """
 
     family: Family
@@ -85,7 +85,6 @@ class CSExpansion:
     eigenvalue: complex
     coeffs: np.ndarray
     norm: float
-    measure_hook: Optional[Callable[[float], float]] = None
 
     @property
     def order(self) -> int:
@@ -135,6 +134,12 @@ _SPECS = {
 }
 
 
+def _check_log(value: float, what: str) -> None:
+    """Reject a quantity whose log reaches the top of the double range."""
+    if not value < _LOG_MAX:
+        raise ValueError(f"{what} would overflow a double (log {value:.6g} >= {_LOG_MAX:.6g})")
+
+
 def _check_index(family: Family, index: float) -> None:
     spec = _SPECS[family]
     if not index > spec.index_floor:
@@ -160,6 +165,7 @@ def _coeff_vector(family: Family, index: float, ev: complex, order: int) -> np.n
         out[0] = 1.0
         return out
     mag = _log_coeff_mags(family, index, abs(ev), order)
+    _check_log(float(mag.max()), f"coefficients up to order {order}")
     phase = cmath.phase(complex(ev)) * np.arange(order + 1)
     return np.exp(mag + 1j * phase)
 
@@ -193,7 +199,6 @@ def _build(
     ev: complex,
     tail_tol: float,
     order: Optional[int],
-    measure_hook,
 ) -> CSExpansion:
     _check_index(family, index)
     if tail_tol is not None and not tail_tol > 0.0:
@@ -208,7 +213,6 @@ def _build(
         eigenvalue=complex(ev),
         coeffs=_coeff_vector(family, index, ev, order),
         norm=1.0,
-        measure_hook=measure_hook,
     )
     return normalize(cs)
 
@@ -218,7 +222,6 @@ def build_laguerre_cs(
     alpha: complex,
     tail_tol: float = 1e-12,
     order: Optional[int] = None,
-    measure_hook=None,
 ) -> CSExpansion:
     """Build the Laguerre-class state with coefficients
     Gamma(lam+1) alpha^n / Gamma(lam+n+1), normalized.
@@ -226,9 +229,9 @@ def build_laguerre_cs(
     The truncation order is the smallest N whose weighted tail
     sum_{n>N} |c_n|^2 h_n is at most tail_tol^2 times the head, unless an
     explicit ``order`` is given; a state that needs more than ORDER_CAP
-    levels raises ValueError.
+    levels, or an order whose coefficients or norm overflow, raises ValueError.
     """
-    return _build(Family.LAGUERRE, lam, alpha, tail_tol, order, measure_hook)
+    return _build(Family.LAGUERRE, lam, alpha, tail_tol, order)
 
 
 def build_pt_cs(
@@ -236,12 +239,11 @@ def build_pt_cs(
     q: complex,
     tail_tol: float = 1e-12,
     order: Optional[int] = None,
-    measure_hook=None,
 ) -> CSExpansion:
     """Build the Poschl-Teller-class state with coefficients
     Gamma(2 rho) q^n / Gamma(2 rho + n), normalized, truncated as in
     ``build_laguerre_cs``."""
-    return _build(Family.POSCHL_TELLER, rho, q, tail_tol, order, measure_hook)
+    return _build(Family.POSCHL_TELLER, rho, q, tail_tol, order)
 
 
 def _log_weight_terms(cs: CSExpansion) -> np.ndarray:
@@ -257,8 +259,9 @@ def normalize(cs: CSExpansion) -> CSExpansion:
     """Return a copy with norm = sqrt(sum_n |coeffs[n]|^2 h_n)."""
     logs = _log_weight_terms(cs)
     m = logs.max()
-    norm = math.exp(0.5 * m) * math.sqrt(float(np.sum(np.exp(logs - m))))
-    return replace(cs, norm=norm)
+    total = float(np.sum(np.exp(logs - m)))
+    _check_log(0.5 * (m + math.log(total)), "state norm")
+    return replace(cs, norm=math.exp(0.5 * m) * math.sqrt(total))
 
 
 def weights(cs: CSExpansion) -> np.ndarray:
@@ -270,12 +273,10 @@ def weights(cs: CSExpansion) -> np.ndarray:
 
 
 def _evaluate(cs: CSExpansion, point: float) -> complex:
-    """sum_n coeffs[n] P_n(point) / norm, times the measure hook if set."""
+    """sum_n (coeffs[n] / norm) P_n(point); dividing first keeps large
+    coefficients times large polynomial values from overflowing."""
     values = _SPECS[cs.family].values(cs.order, cs.index, point)
-    out = complex(np.sum(cs.coeffs * np.array(values))) / cs.norm
-    if cs.measure_hook is not None:
-        out *= cs.measure_hook(point)
-    return out
+    return complex(np.sum(cs.coeffs / cs.norm * np.array(values)))
 
 
 def eval_laguerre_cs(cs: CSExpansion, x: float) -> complex:
@@ -323,10 +324,9 @@ def eval_laguerre_cs_closed(lam: float, alpha: float, x: float) -> float:
     if not (alpha > 0.0 and x > 0.0):
         raise ValueError(f"closed form requires alpha > 0 and x > 0, got {alpha!r}, {x!r}")
     xa = x * alpha
-    return (
-        math.exp(specfun.ln_gamma(lam + 1.0) + alpha - 0.5 * lam * math.log(xa))
-        * specfun.bessel_j(lam, 2.0 * math.sqrt(xa))
-    )
+    log_scale = specfun.ln_gamma(lam + 1.0) + alpha - 0.5 * lam * math.log(xa)
+    _check_log(log_scale, "closed-form prefactor")
+    return math.exp(log_scale) * specfun.bessel_j(lam, 2.0 * math.sqrt(xa))
 
 
 def eval_pt_cs_closed(rho: float, q: float, theta: float) -> float:
@@ -346,14 +346,9 @@ def eval_pt_cs_closed(rho: float, q: float, theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie strictly inside (0, pi), got {theta!r}")
     s = q * math.sin(theta)
-    return (
-        math.exp(
-            specfun.ln_gamma(rho + 0.5)
-            + q * math.cos(theta)
-            + (0.5 - rho) * math.log(0.5 * s)
-        )
-        * specfun.bessel_j(rho - 0.5, s)
-    )
+    log_scale = specfun.ln_gamma(rho + 0.5) + q * math.cos(theta) + (0.5 - rho) * math.log(0.5 * s)
+    _check_log(log_scale, "closed-form prefactor")
+    return math.exp(log_scale) * specfun.bessel_j(rho - 0.5, s)
 
 
 def _annihilation_ops(family: str, params) -> tuple[LadderOp, LadderOp]:

@@ -7,9 +7,8 @@ and at rational fractions (p/q) T_rev the packet splits into a small number
 of copies (Gauss-sum interference), producing the fractional-revival peaks
 between full revivals.
 
-Phases are reduced modulo 2 pi in extended precision before the complex
-exponential whenever |E(n) t| exceeds 1e8, so long traces do not accumulate
-catastrophic phase error.
+Each phase E(n) t is reduced modulo 2 pi from the exact E(n), so the error
+of A(t) does not grow with t below the limit |E(n) t| < 2^40 turns (~6.9e12).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -35,7 +33,9 @@ __all__ = [
     "detect_revivals",
 ]
 
-_PHASE_REDUCE_THRESHOLD = 1e8
+# 2 pi to 4e-31 (Cody & Waite, 1980); 13-bit parts keep k * part exact for |k| <= 2^40
+_TWO_PI_PARTS = (6.283203125, -1.7818063497543335e-05, 2.4306245904881507e-10, 2.1561211432632476e-14)
+_PHASE_LIMIT = 2.0**40 * 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class Spectrum:
     c: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.c)):
+            raise ValueError(f"spectrum coefficients must be finite, got {(self.a, self.b, self.c)!r}")
         if self.a < 0.0:
             raise ValueError(f"quadratic coefficient must satisfy a >= 0, got {self.a!r}")
 
@@ -74,20 +76,41 @@ class AutocorrTrace:
         return len(self.times)
 
 
-def _reduced_phase(energy: float, t: float) -> float:
-    """E*t modulo 2 pi, evaluated in extended precision (private context,
-    so concurrent traces never race on the working precision)."""
-    ctx = mpmath.mp.clone()
-    ctx.dps = 40
-    return float(ctx.fmod(ctx.mpf(energy) * ctx.mpf(t), 2 * ctx.pi))
+def _reduced_phases(spectrum: Spectrum, levels: list[int], times: np.ndarray):
+    """Yield E(n) t modulo 2 pi over ``times`` for each level n.  E(n) = hi + lo
+    is exact in integers over the coefficients' common denominator; Dekker's
+    product gives p = fl(hi t) and its error exactly (hi keeps 26 bits, the
+    times drop 27); k = rint(p / 2 pi) turns come off p, then the errors go on."""
+    ratios = [x.as_integer_ratio() for x in (spectrum.a, spectrum.b, spectrum.c)]
+    den = max(d for _, d in ratios)
+    a, b, c = (num * (den // d) for num, d in ratios)
+    energies = [(a * n + b) * n + c for n in levels]
+    reach = max(map(abs, energies)) / den * float(np.max(np.abs(times), initial=0.0))
+    if not reach < _PHASE_LIMIT:
+        raise ValueError(f"phases |E(n) t| reach {reach!r}, beyond 2^40 turns ({_PHASE_LIMIT!r})")
+    t_hi = (times.view(np.int64) & -(1 << 27)).view(float)
+    t_lo = times - t_hi
+    for e in energies:
+        hi = e / den
+        num, d = hi.as_integer_ratio()
+        lo = (e - num * (den // d)) / den
+        m, x = math.frexp(hi)
+        top = math.ldexp(round(m * 2**26), x - 26)
+        phase = hi * times
+        err = (top * t_hi - phase) + top * t_lo + (hi - top) * t_hi + ((hi - top) * t_lo + lo * times)
+        k = np.rint(phase * (0.5 / math.pi))
+        for part in _TWO_PI_PARTS:
+            phase -= k * part
+        yield phase + err
 
 
 def autocorr(weights: np.ndarray, spectrum: Spectrum, times: np.ndarray) -> AutocorrTrace:
     """Survival amplitude A(t_k) = sum_n p_n exp(-i E(n) t_k).
 
     The weights must be non-negative and sum to 1 within 1e-10; |A|^2 is
-    checked against the square of their actual total.  The sum is
-    accumulated in ascending n, so identical inputs give identical traces.
+    checked against the square of their actual total.  Every phase is within a
+    few ulps of pi at any t below |E(n) t| = 2^40 turns (ValueError beyond), and
+    the sum is accumulated in ascending n, so identical inputs give identical traces.
     """
     weights = np.asarray(weights, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -99,18 +122,11 @@ def autocorr(weights: np.ndarray, spectrum: Spectrum, times: np.ndarray) -> Auto
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")
 
+    levels = np.flatnonzero(weights).tolist()
     values = np.zeros(times.shape, dtype=complex)
-    for n in range(len(weights)):
-        if weights[n] == 0.0:
-            continue
-        energy = spectrum.energy(n)
-        phases = energy * times
-        big = np.abs(phases) > _PHASE_REDUCE_THRESHOLD
-        if np.any(big):
-            phases = phases.copy()
-            for k in np.nonzero(big)[0]:
-                phases[k] = _reduced_phase(energy, float(times[k]))
-        values += weights[n] * np.exp(-1j * phases)
+    for n, phase in zip(levels, _reduced_phases(spectrum, levels, times)):
+        values.real += weights[n] * np.cos(phase)
+        values.imag -= weights[n] * np.sin(phase)
 
     # |A| <= sum p_n, so the bound follows the weight total actually given
     magsq = np.abs(values) ** 2

@@ -107,6 +107,21 @@ def test_cs_eval_state_beyond_order_cap_exits_2(tmp_path, capsys):
     assert "not reachable within order cap 500" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cs-eval", "--family", "pt", "--rho", "2", "--q", "1000", "--n-terms", "500", "--samples", "4"],
+        ["closed-form-check", "--family", "pt", "--rho", "2", "--q", "1000", "--samples", "3"],
+        ["closed-form-check", "--family", "laguerre", "--alpha", "800", "--n-terms", "400"],
+    ],
+)
+def test_overflowing_parameters_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "never.out"
+    assert run(argv + ["-o", str(out)]) == 2
+    assert not out.exists()
+    assert "would overflow a double" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- closed-form-check
 
 def test_closed_form_check_laguerre(tmp_path, capsys):
@@ -154,6 +169,28 @@ def test_autocorr_symmetric_grid_hermitian(tmp_path):
     values = [complex(float(r[1]), float(r[2])) for r in rows]
     for v, w in zip(values, reversed(values)):  # A(-t) = conj(A(t))
         assert v == pytest.approx(w.conjugate(), abs=1e-13)
+
+
+def test_autocorr_status_line_gives_the_real_window(tmp_path, capsys):
+    out = tmp_path / "window.csv"
+    assert run(["autocorr", "--samples", "5", "--t-min", "5", "--t-max", "6", "-o", str(out)]) == 0
+    assert "t in [5, 6]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--spec-a", "inf", "--t-max", "1"],
+        ["--spec-a", "1", "--spec-b", "nan", "--t-max", "1"],
+        ["--spec-a", "1e308", "--t-max", "1"],  # E(n) leaves the double range
+        ["--t-max", "1e300"],  # phases beyond 2^40 turns
+    ],
+)
+def test_autocorr_out_of_range_input_exits_2(flags, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run(["autocorr", "--samples", "3", *flags, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 def test_autocorr_deterministic(tmp_path):

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,8 +36,9 @@ def test_pt_spectrum_constant_second_difference():
 
 
 def test_spectrum_rejects_negative_curvature():
-    with pytest.raises(ValueError):
-        Spectrum(-1.0, 0.0, 0.0)
+    for coeffs in [(-1.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)]:
+        with pytest.raises(ValueError):
+            Spectrum(*coeffs)
 
 
 # ------------------------------------------------------------------ autocorr
@@ -93,14 +95,50 @@ def test_autocorr_weight_total_within_tolerance_sets_the_bound():
     assert trace.magsq[0] == pytest.approx((1.0 + 5e-11) ** 2, abs=1e-15)
 
 
+def _reduced_phase(energy, t):
+    """E t modulo 2 pi for E(1) = energy, from the library's phase path."""
+    return next(dynamics._reduced_phases(Spectrum(0.0, energy, 0.0), [1], np.array([t])))[0]
+
+
 def test_reduced_phase_against_frozen_oracle():
-    # reference values from a 50-digit evaluation of E*t mod 2 pi
-    assert dynamics._reduced_phase(1000000007.0, 123.456) == pytest.approx(
-        5.613772493210285552, abs=5e-15
-    )
-    assert dynamics._reduced_phase(3200000000000.0, 0.725) == pytest.approx(
-        1.2388410396880974353, abs=5e-15
-    )
+    # reference values from a 50-digit evaluation of E*t mod 2 pi, compared
+    # modulo 2 pi
+    for energy, t, frozen in [
+        (1000000007.0, 123.456, 5.613772493210285552),
+        (3200000000000.0, 0.725, 1.2388410396880974353),
+    ]:
+        assert math.remainder(_reduced_phase(energy, t) - frozen, 2.0 * math.pi) == pytest.approx(
+            0.0, abs=5e-15
+        )
+
+
+@pytest.mark.parametrize("rho,q", [(2.0, 5.0), (3.7, 19.0), (0.6, 1.3)])
+def test_autocorr_error_does_not_grow_with_t(rho, q):
+    # oracle: 50-digit sum over the exact values of the spectrum's doubles;
+    # the bound is a few ulps of pi per phase, the exp rounding and the
+    # rounding of the sum of the ~60 terms
+    p = cstates.weights(cstates.build_pt_cs(rho, q))
+    spectrum = pt_spectrum(rho)
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    energies = [ctx.mpf(spectrum.a) * n * n + ctx.mpf(spectrum.b) * n + ctx.mpf(spectrum.c) for n in range(len(p))]
+    for t0 in (1.0, 25.0, 1e3, 1e5, 1e7, 1e9):
+        times = np.linspace(t0, t0 + 2.0 * math.pi, 16)
+        for t, got in zip(times, autocorr(p, spectrum, times).values):
+            tm = ctx.mpf(float(t))
+            exact = ctx.fsum(ctx.mpf(w) * ctx.expj(-e * tm) for w, e in zip(p, energies))
+            assert abs(got - complex(exact)) <= 1e-14, (t0, t)
+
+
+def test_autocorr_rejects_phases_beyond_the_limit():
+    # the limit is 2^40 turns, |E t| < 2 pi 2^40 ~ 6.9e12
+    p = np.array([0.5, 0.5])
+    spectrum = Spectrum(0.0, 1.0, 0.0)
+    limit = 2.0**40 * 2.0 * math.pi
+    autocorr(p, spectrum, np.array([0.0, 0.999 * limit]))
+    for bad in (limit, -limit, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beyond 2\\^40 turns"):
+            autocorr(p, spectrum, np.array([0.0, bad]))
 
 
 def test_autocorr_large_phase_reduction_end_to_end():
