@@ -13,7 +13,11 @@ Output is deterministic: CSV uses '.' decimals, ',' separators, LF line
 endings and 17 significant digits; JSON is emitted with sorted keys.  Files
 are written via write-then-rename so a failed run never leaves partial
 output.  Exit status is 0 on success, 1 when a verification fails, 2 on
-parameter or input errors.
+parameter or input errors.  Grids hold at most 2**20 samples.
+
+Only the stdlib and ``ladder`` load with this module; each subcommand
+imports the layers it calls, so ``verify-algebra`` and ``--help`` never load
+numpy, and only ``closed-form-check`` loads mpmath.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
-from . import cstates, dynamics, gaussfactor, ladder
+from . import ladder
 
 __all__ = ["main"]
+
+# Largest grid a subcommand accepts: checked before anything is allocated.
+MAX_SAMPLES = 1 << 20
 
 
 def _fmt(value: float) -> str:
@@ -72,11 +77,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _grid(lo: float, hi: float, samples: int) -> np.ndarray:
-    if samples < 2:
-        raise ValueError(f"sample count must be >= 2, got {samples}")
+def _grid(lo: float, hi: float, samples: int):
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in [2, {MAX_SAMPLES}], got {samples}")
     if not lo < hi:
         raise ValueError(f"grid bounds must be strictly increasing, got [{lo!r}, {hi!r}]")
+    import numpy as np
     return np.linspace(lo, hi, samples)
 
 
@@ -95,7 +101,8 @@ def _cmd_verify_algebra(args) -> int:
     return 0
 
 
-def _build_state(args) -> cstates.CSExpansion:
+def _build_state(args):
+    from . import cstates
     if args.family == "laguerre":
         return cstates.build_laguerre_cs(
             args.lam, args.alpha, tail_tol=args.tail_tol, order=args.n_terms
@@ -106,6 +113,7 @@ def _build_state(args) -> cstates.CSExpansion:
 
 
 def _cmd_cs_eval(args) -> int:
+    from . import cstates
     state = _build_state(args)
     if args.family == "laguerre":
         lo = 0.0 if args.grid_min is None else args.grid_min
@@ -131,6 +139,7 @@ def _cmd_cs_eval(args) -> int:
 
 
 def _cmd_closed_form_check(args) -> int:
+    from . import cstates
     if args.family == "laguerre":
         if not args.alpha > 0.0:
             raise ValueError(f"closed form requires alpha > 0, got {args.alpha!r}")
@@ -187,6 +196,7 @@ def _cmd_closed_form_check(args) -> int:
 
 
 def _cmd_autocorr(args) -> int:
+    from . import cstates, dynamics
     state = cstates.build_pt_cs(args.rho, args.q, tail_tol=args.tail_tol)
     p = cstates.weights(state)
     if args.spec_a is not None:
@@ -211,7 +221,9 @@ def _cmd_autocorr(args) -> int:
     return 0
 
 
-def _load_trace(path: str) -> dynamics.AutocorrTrace:
+def _load_trace(path: str):
+    import numpy as np
+    from . import dynamics
     try:
         with open(path, newline="") as handle:
             lines = [line.strip() for line in handle if line.strip()]
@@ -244,6 +256,7 @@ def _load_trace(path: str) -> dynamics.AutocorrTrace:
 
 
 def _cmd_revivals(args) -> int:
+    from . import dynamics
     trace = _load_trace(args.trace)
     report = dynamics.detect_revivals(
         trace,
@@ -262,6 +275,7 @@ def _cmd_revivals(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from . import gaussfactor
     report = gaussfactor.factor_scan(args.n, m_terms=args.m_terms, threshold=args.threshold)
     _emit(_json_text(report.to_dict()), args.output)
     if args.output is not None:
@@ -339,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="truncated-Gauss-sum divisor scan")
     p.add_argument("--n", type=int, required=True, help="integer to scan (>= 2)")
     p.add_argument("--m-terms", type=int, default=None, help="truncation length (default ceil(sqrt(n)))")
-    p.add_argument("--threshold", type=float, default=gaussfactor.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=None, help="acceptance threshold (default 1/sqrt(2))")
     _add_output(p)
     p.set_defaults(handler=_cmd_factor)
 

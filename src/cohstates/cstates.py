@@ -64,6 +64,7 @@ __all__ = [
 
 ORDER_CAP = 500
 _LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min
 
 
 class Family(Enum):
@@ -94,14 +95,15 @@ class CSExpansion:
 class _Spec(NamedTuple):
     """One polynomial family as data.  The index must exceed ``index_floor``;
     ``shift`` gives s in c_n = Gamma(s) ev^n / Gamma(s+n); ``log_h0`` and
-    ``h_ratio`` give log h_0 and h_{n+1}/h_n of the squared norms; ``values``
-    runs the three-term recurrence, (n_max, index, point) -> P_0..P_n_max."""
+    ``h_ratio`` give log h_0 and the factors (numerator, denominator) of
+    h_{n+1}/h_n of the squared norms; ``values`` runs the three-term
+    recurrence, (n_max, index, point) -> P_0..P_n_max."""
 
     index_floor: float
     index_rule: str
     shift: Callable[[float], float]
     log_h0: Callable[[float], float]
-    h_ratio: Callable[[float, np.ndarray], np.ndarray]
+    h_ratio: Callable[[float, np.ndarray], tuple]
     values: Callable[[int, float, float], list]
 
 
@@ -112,7 +114,7 @@ _SPECS = {
         index_rule="Laguerre index must satisfy lam > -1",
         shift=lambda lam: lam + 1.0,
         log_h0=lambda lam: specfun.ln_gamma(lam + 1.0),
-        h_ratio=lambda lam, n: (n + lam + 1.0) / (n + 1.0),
+        h_ratio=lambda lam, n: ((n + lam + 1.0,), (n + 1.0,)),
         values=specfun._laguerre_values,
     ),
     # h_n = integral of (C_n^rho)^2 (1-y^2)^(rho-1/2)
@@ -128,7 +130,7 @@ _SPECS = {
             - math.log(rho)
             - 2.0 * specfun.ln_gamma(rho)
         ),
-        h_ratio=lambda rho, n: (n + 2.0 * rho) * (n + rho) / ((n + 1.0) * (n + 1.0 + rho)),
+        h_ratio=lambda rho, n: ((n + 2.0 * rho, n + rho), (n + 1.0, n + 1.0 + rho)),
         values=specfun._gegenbauer_values,
     ),
 }
@@ -147,9 +149,19 @@ def _check_index(family: Family, index: float) -> None:
 
 
 def _log_h(family: Family, index: float, n_max: int) -> np.ndarray:
-    """log h_n for n = 0..n_max, from h_0 and the ratios h_{n+1}/h_n."""
+    """log h_n for n = 0..n_max, from h_0 and the ratios h_{n+1}/h_n.
+
+    The steps are the logs of the ratios, which are accurate near 1, unless a
+    ratio is below the normal range (h_1/h_0 = 2 rho^2/(1+rho) for rho below
+    about 1e-154); then they are the sums of the factors' logs.
+    """
     spec = _SPECS[family]
-    steps = np.log(spec.h_ratio(index, np.arange(n_max)))
+    num, den = spec.h_ratio(index, np.arange(n_max))
+    ratio = math.prod(num) / math.prod(den)
+    if np.any(ratio < _TINY):
+        steps = sum(map(np.log, num)) - sum(map(np.log, den))
+    else:
+        steps = np.log(ratio)
     return spec.log_h0(index) + np.concatenate(([0.0], np.cumsum(steps)))
 
 

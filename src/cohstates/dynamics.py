@@ -107,19 +107,20 @@ def _reduced_phases(spectrum: Spectrum, levels: list[int], times: np.ndarray):
 def autocorr(weights: np.ndarray, spectrum: Spectrum, times: np.ndarray) -> AutocorrTrace:
     """Survival amplitude A(t_k) = sum_n p_n exp(-i E(n) t_k).
 
-    The weights must be non-negative and sum to 1 within 1e-10; |A|^2 is
-    checked against the square of their actual total.  Every phase is within a
-    few ulps of pi at any t below |E(n) t| = 2^40 turns (ValueError beyond), and
-    the sum is accumulated in ascending n, so identical inputs give identical traces.
+    The weights must be non-negative and sum to 1 within 1e-10 (NaN is
+    rejected); |A|^2 is checked against the square of their actual total.
+    Every phase is within a few ulps of pi at any t below |E(n) t| = 2^40
+    turns (ValueError beyond), and the sum is accumulated in ascending n, so
+    identical inputs give identical traces.
     """
     weights = np.asarray(weights, dtype=float)
     times = np.asarray(times, dtype=float)
     if weights.size == 0:
         raise ValueError("weight vector is empty")
-    if np.any(weights < 0.0):
+    if not np.all(weights >= 0.0):
         raise ValueError("weights must be non-negative")
     total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")
 
     levels = np.flatnonzero(weights).tolist()

@@ -35,7 +35,10 @@ single sum costs O(min(l, M)) even for M = 10^12.  The cosine and sine parts
 are summed and divided by M separately as real numbers; on a divisor every
 term is exactly w_m, so the signal and the modulus come out exactly 1.0.
 M is limited to 2^53, above which the weights and M stop being exact in
-float64.
+float64.  A scan is limited to 2^22 trial divisors (n < (2^22 + 2)^2, about
+1.8e13): a report row and its JSON take about 0.55 kB, so 2^22 rows take
+2.3 GB, and the scan's n/2 cells are days of work at that size already.
+Every n >= 2^63 is past the limit; ``gauss_sum`` alone takes any n.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ _BLOCK = 1 << 13
 _INT64_SAFE_ELL = 3037000499
 # Above 2**53 the integer weights, and M itself, stop being exact in float64.
 _M_TERMS_MAX = 1 << 53
+# Most trial divisors 2 <= l <= floor(sqrt(n)) one scan takes (see above).
+_SCAN_MAX = 1 << 22
 
 
 def _check_m_terms(m_terms: int) -> None:
@@ -170,16 +175,24 @@ def default_m_terms(n: int) -> int:
 def factor_scan(
     n: int,
     m_terms: Optional[int] = None,
-    threshold: float = DEFAULT_THRESHOLD,
+    threshold: Optional[float] = None,
 ) -> GaussSumReport:
     """Scan trial divisors 2 <= l <= floor(sqrt(n)).
 
     A trial divisor is accepted when its cosine signal Re s reaches the
     threshold; accepted divisors are reported together with their cofactors
-    n / l.  M defaults to ceil(sqrt(n)).
+    n / l.  M defaults to ceil(sqrt(n)), and the threshold to
+    ``DEFAULT_THRESHOLD``.  At most 2**22 trial divisors are scanned; a
+    larger n raises ValueError before any work.
     """
     if n < 2:
         raise ValueError(f"factor_scan requires n >= 2, got {n}")
+    if math.isqrt(n) - 1 > _SCAN_MAX:
+        raise ValueError(
+            f"factor_scan takes at most 2**22 trial divisors, n={n} needs {math.isqrt(n) - 1}"
+        )
+    if threshold is None:
+        threshold = DEFAULT_THRESHOLD
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if m_terms is None:

@@ -7,6 +7,8 @@ hypergeometric):
 * ``ln_gamma`` is ``math.lgamma`` behind the package's domain checks.
 * ``bessel_j`` is ``mpmath.besselj`` at double precision, with the package's
   contract at x = 0 (1, 0 or a signed infinity at the singular point).
+  mpmath is imported on the first call, so the rest of this module, and
+  every command that never evaluates a Bessel function, runs without it.
 * ``laguerre`` and ``gegenbauer`` use the standard upward three-term
   recurrences, which are stable on the orthogonality domains.  Each
   recurrence is written once, as a private function returning every degree
@@ -20,10 +22,9 @@ All functions here are pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-
-import mpmath
 
 __all__ = [
     "ln_gamma",
@@ -33,10 +34,16 @@ __all__ = [
     "bessel_j",
 ]
 
-# One shared double-precision context: cloning a context per call costs about
-# ten times the Bessel evaluation itself.  Its precision is never changed.
-_MP = mpmath.mp.clone()
-_MP.prec = 53
+
+# One shared double-precision context, made on the first Bessel call: cloning
+# a context per call costs about ten times the Bessel evaluation itself.  Its
+# precision is never changed.
+@functools.cache
+def _mp():
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.prec = 53
+    return ctx
 
 
 def ln_gamma(x: float) -> float:
@@ -62,10 +69,11 @@ def _laguerre_values(n: int, lam: float, x: float) -> list[float]:
 
 def _gegenbauer_values(n: int, rho: float, y: float) -> list[float]:
     """C_k^rho(y) for k = 0..n by the upward recurrence
-    (k+1) C_{k+1} = 2(k+rho) y C_k - (k+2rho-1) C_{k-1}."""
+    (k+1) C_{k+1} = 2(k+rho) y C_k - ((k-1)+2rho) C_{k-1}, with k-1 taken
+    first so that small rho is not lost to rounding in 1 + 2 rho."""
     vals = [1.0, 2.0 * rho * y]
     for k in range(1, n):
-        vals.append((2.0 * (k + rho) * y * vals[k] - (k + 2.0 * rho - 1.0) * vals[k - 1]) / (k + 1.0))
+        vals.append((2.0 * (k + rho) * y * vals[k] - ((k - 1.0) + 2.0 * rho) * vals[k - 1]) / (k + 1.0))
     return vals[: n + 1]
 
 
@@ -140,5 +148,5 @@ def bessel_j(nu: float, x: float) -> float:
             return 1.0
         if nu > 0.0 or nu == math.floor(nu):
             return 0.0
-        return math.copysign(math.inf, _MP.rgamma(nu + 1.0))
-    return float(_MP.besselj(nu, x))
+        return math.copysign(math.inf, _mp().rgamma(nu + 1.0))
+    return float(_mp().besselj(nu, x))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cohstates import cli, dynamics
@@ -199,6 +200,39 @@ def test_autocorr_deterministic(tmp_path):
     assert run(argv + ["-o", str(a)]) == 0
     assert run(argv + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_grid_sample_cap_is_checked_before_allocation(monkeypatch, tmp_path, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "never.csv"
+    for argv in (
+        ["autocorr", "--samples", str(cli.MAX_SAMPLES + 1)],
+        ["autocorr", "--samples", "100000000000"],
+        ["cs-eval", "--family", "pt", "--samples", str(cli.MAX_SAMPLES + 1)],
+        ["closed-form-check", "--family", "laguerre", "--samples", str(cli.MAX_SAMPLES + 1)],
+    ):
+        assert run([*argv, "-o", str(out)]) == 2
+        assert "sample count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_autocorr_nan_eigenvalue_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run(["autocorr", "--q", "nan", "--samples", "3", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_autocorr_tiny_index_gives_finite_rows(tmp_path):
+    # h_1/h_0 underflows at rho = 1e-300; a RuntimeWarning fails this test
+    out = tmp_path / "tiny.csv"
+    assert run(["autocorr", "--rho", "1e-300", "--samples", "8", "-o", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 # -------------------------------------------------------------------- revivals

@@ -86,6 +86,21 @@ def test_autocorr_weight_validation():
         autocorr(np.array([]), Spectrum(1.0, 0.0, 0.0), times)
 
 
+def test_autocorr_rejects_nan_weights():
+    for p in ([math.nan, 1.0], [0.5, 0.5, math.nan]):
+        with pytest.raises(ValueError, match="non-negative"):
+            autocorr(p, pt_spectrum(2.0), [0.0, 1.0])
+
+
+def test_autocorr_of_a_tiny_index_state_is_finite():
+    # h_1/h_0 = 2 rho^2/(1 + rho) underflows at rho = 1e-300; its log must not
+    cs = cstates.build_pt_cs(1e-300, 5.0)
+    p = cstates.weights(cs)
+    assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12
+    trace = autocorr(p, pt_spectrum(1e-300), np.linspace(0.0, 10.0, 8))
+    assert np.all(np.isfinite(trace.values))
+
+
 def test_autocorr_weight_total_within_tolerance_sets_the_bound():
     # weights 5e-11 above 1 pass validation; |A(0)|^2 is their total squared,
     # above 1 + 1e-12, and must be returned rather than rejected

@@ -138,6 +138,30 @@ def test_cli_rejects_m_terms_beyond_float_exactness(capsys):
     assert "m_terms" in capsys.readouterr().err
 
 
+def _no_kernel(*args):
+    raise AssertionError("the scan reached the kernel")
+
+
+def test_factor_scan_trial_divisor_cap_is_checked_first(monkeypatch):
+    cap = gaussfactor._SCAN_MAX
+    monkeypatch.setattr(gaussfactor, "_folded_sums", _no_kernel)
+    for n in ((cap + 2) ** 2, 2**63, 9223372036854775809):
+        with pytest.raises(ValueError, match="trial divisors"):
+            factor_scan(n, m_terms=3)
+    # floor(sqrt(n)) - 1 = cap trial divisors is still accepted
+    with pytest.raises(AssertionError, match="kernel"):
+        factor_scan((cap + 1) ** 2 + 2 * cap, m_terms=3)
+
+
+def test_cli_rejects_scan_beyond_the_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gaussfactor, "_folded_sums", _no_kernel)
+    out = tmp_path / "never.json"
+    for n in ((gaussfactor._SCAN_MAX + 2) ** 2, 9223372036854775809):
+        assert cli.main(["factor", "--n", str(n), "--m-terms", "3", "-o", str(out)]) == 2
+        assert "trial divisors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_m_terms():
     assert default_m_terms(15) == 4
     assert default_m_terms(16) == 4

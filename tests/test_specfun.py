@@ -108,6 +108,21 @@ def test_gegenbauer_domain():
         specfun.gegenbauer(3, -0.5, 0.5)
 
 
+@pytest.mark.parametrize("rho", [1e-3, 1e-9, 1e-300])
+def test_gegenbauer_small_index_against_mpmath(rho):
+    # C_k ~ (2 rho / k) cos(k theta) for small rho: every degree from 2 on
+    # would carry an error of about eps/rho if 1 + 2 rho rounded first
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    ys = (-0.9, -0.3, 0.1, 0.45, 0.8)
+    values = [specfun._gegenbauer_values(30, rho, y) for y in ys]
+    refs = [[mp.gegenbauer(k, mp.mpf(rho), mp.mpf(y)) for k in range(31)] for y in ys]
+    for k in range(31):
+        scale = max(abs(ref[k]) for ref in refs)
+        for vals, ref in zip(values, refs):
+            assert abs(vals[k] - ref[k]) <= 1e-14 * scale, (k, vals[k])
+
+
 # ------------------------------------------------------- hyp_terminating
 
 def test_hyp_terminating_trivial():
