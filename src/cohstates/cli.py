@@ -13,7 +13,8 @@ Output is deterministic: CSV uses '.' decimals, ',' separators, LF line
 endings and 17 significant digits; JSON is emitted with sorted keys.  Files
 are written via write-then-rename so a failed run never leaves partial
 output.  Exit status is 0 on success, 1 when a verification fails, 2 on
-parameter or input errors.  Grids hold at most 2**20 samples.
+parameter or input errors, which include grid bounds, parameters and series
+values that are not finite.  Grids hold at most 2**20 samples.
 
 Only the stdlib and ``ladder`` load with this module; each subcommand
 imports the layers it calls, so ``verify-algebra`` and ``--help`` never load
@@ -29,6 +30,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import ladder
 
@@ -80,6 +82,8 @@ def _rational(text: str) -> Fraction:
 def _grid(lo: float, hi: float, samples: int):
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in [2, {MAX_SAMPLES}], got {samples}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid bounds and their span must be finite, got [{lo!r}, {hi!r}]")
     if not lo < hi:
         raise ValueError(f"grid bounds must be strictly increasing, got [{lo!r}, {hi!r}]")
     import numpy as np
@@ -101,84 +105,71 @@ def _cmd_verify_algebra(args) -> int:
     return 0
 
 
-def _build_state(args):
-    from . import cstates
-    if args.family == "laguerre":
-        return cstates.build_laguerre_cs(
-            args.lam, args.alpha, tail_tol=args.tail_tol, order=args.n_terms
-        )
-    return cstates.build_pt_cs(
-        args.rho, args.q, tail_tol=args.tail_tol, order=args.n_terms
-    )
+def _cos(theta):
+    import numpy as np
+    return np.cos(theta)
+
+
+class _Family(NamedTuple):
+    """One family as ``cs-eval`` and ``closed-form-check`` see it; its
+    cstates functions are named after the ``--family`` value."""
+
+    params: Callable  # options -> {report key: value} of (index, eigenvalue)
+    var: str  # grid variable
+    eval_grid: tuple  # default cs-eval grid bounds
+    check_grid: tuple  # default closed-form-check grid bounds
+    n_terms: int  # default closed-form-check series length
+    point: Callable  # grid -> polynomial arguments
+
+
+_FAMILIES = {
+    "laguerre": _Family(lambda a: {"lambda": a.lam, "alpha": a.alpha},
+                        "x", (0.0, 20.0), (0.1, 10.0), 80, lambda x: x),
+    "pt": _Family(lambda a: {"rho": a.rho, "q": a.q},
+                  "theta", (0.0, math.pi), (0.3, 2.5), 200, _cos),
+}
+
+
+def _family_grid(args, bounds):
+    lo, hi = bounds
+    return _grid(lo if args.grid_min is None else args.grid_min,
+                 hi if args.grid_max is None else args.grid_max, args.samples)
 
 
 def _cmd_cs_eval(args) -> int:
     from . import cstates
-    state = _build_state(args)
-    if args.family == "laguerre":
-        lo = 0.0 if args.grid_min is None else args.grid_min
-        hi = 20.0 if args.grid_max is None else args.grid_max
-        if lo < 0.0:
-            raise ValueError(f"Laguerre-class grid needs x >= 0, got {lo!r}")
-        xs = _grid(lo, hi, args.samples)
-        header = ["x", "re", "im", "abs2"]
-        values = [cstates.eval_laguerre_cs(state, float(x)) for x in xs]
-    else:
-        lo = 0.0 if args.grid_min is None else args.grid_min
-        hi = math.pi if args.grid_max is None else args.grid_max
-        xs = _grid(lo, hi, args.samples)
-        header = ["theta", "re", "im", "abs2"]
-        values = [cstates.eval_pt_cs(state, math.cos(float(t))) for t in xs]
-    rows = [
-        (float(x), v.real, v.imag, abs(v) ** 2) for x, v in zip(xs, values)
-    ]
-    _emit(_csv_text(header, rows), args.output)
+    fam = _FAMILIES[args.family]
+    index, ev = fam.params(args).values()
+    state = getattr(cstates, f"build_{args.family}_cs")(index, ev, tail_tol=args.tail_tol, order=args.n_terms)
+    grid = _family_grid(args, fam.eval_grid)
+    values = getattr(cstates, f"eval_{args.family}_cs")(state, fam.point(grid))
+    rows = list(zip(grid.tolist(), values.real.tolist(), values.imag.tolist(), (abs(values) ** 2).tolist()))
+    _emit(_csv_text([fam.var, "re", "im", "abs2"], rows), args.output)
     if args.output is not None:
         print(f"cs-eval: wrote {len(rows)} rows (truncation order {state.order})")
     return 0
 
 
 def _cmd_closed_form_check(args) -> int:
+    import numpy as np
     from . import cstates
-    if args.family == "laguerre":
-        if not args.alpha > 0.0:
-            raise ValueError(f"closed form requires alpha > 0, got {args.alpha!r}")
-        lo = 0.1 if args.grid_min is None else args.grid_min
-        hi = 10.0 if args.grid_max is None else args.grid_max
-        n_terms = 80 if args.n_terms is None else args.n_terms
-        xs = _grid(lo, hi, args.samples)
-        if lo <= 0.0:
-            raise ValueError(f"closed form requires x > 0, got {lo!r}")
-        points = []
-        for x in xs:
-            series = cstates.laguerre_series_sum(args.lam, args.alpha, float(x), n_terms)
-            closed = cstates.eval_laguerre_cs_closed(args.lam, args.alpha, float(x))
-            points.append((float(x), series.real, closed))
-        params = {"lambda": args.lam, "alpha": args.alpha}
-        var = "x"
-    else:
-        if not args.q > 0.0:
-            raise ValueError(f"closed form requires q > 0, got {args.q!r}")
-        lo = 0.3 if args.grid_min is None else args.grid_min
-        hi = 2.5 if args.grid_max is None else args.grid_max
-        n_terms = 200 if args.n_terms is None else args.n_terms
-        if not (0.0 < lo and hi < math.pi):
-            raise ValueError(f"theta grid must lie strictly inside (0, pi), got [{lo!r}, {hi!r}]")
-        xs = _grid(lo, hi, args.samples)
-        points = []
-        for theta in xs:
-            series = cstates.pt_series_sum(args.rho, args.q, math.cos(float(theta)), n_terms)
-            closed = cstates.eval_pt_cs_closed(args.rho, args.q, float(theta))
-            points.append((float(theta), series.real, closed))
-        params = {"rho": args.rho, "q": args.q}
-        var = "theta"
-
-    rows = []
-    max_rel = 0.0
-    for x, series, closed in points:
-        rel = abs(series - closed) / abs(closed)
-        max_rel = max(max_rel, rel)
-        rows.append({var: x, "series": series, "closed": closed, "rel_err": rel})
+    fam = _FAMILIES[args.family]
+    params = fam.params(args)
+    index, ev = params.values()
+    n_terms = fam.n_terms if args.n_terms is None else args.n_terms
+    grid = _family_grid(args, fam.check_grid)
+    series = getattr(cstates, f"{args.family}_series_sum")(index, ev, fam.point(grid), n_terms).real
+    closed_form = getattr(cstates, f"eval_{args.family}_cs_closed")
+    closed = np.array([closed_form(index, ev, x) for x in grid.tolist()])
+    if not closed.all():
+        x = float(grid[np.flatnonzero(closed == 0.0)[0]])
+        raise ValueError(f"closed form is 0 at {fam.var} = {x!r}, so the relative error is undefined")
+    rel = np.abs(series - closed) / np.abs(closed)
+    max_rel = float(rel.max())
+    rows = [
+        {fam.var: x, "series": s, "closed": c, "rel_err": r}
+        for x, s, c, r in zip(grid.tolist(), series.tolist(), closed.tolist(), rel.tolist())
+    ]
     report = {
         "family": args.family,
         "params": params,

@@ -21,7 +21,13 @@ of its squared norms, and its three-term recurrence (from ``specfun``).
 cumulative sums of logs, so truncation orders up to the hard cap of 500
 never overflow.  The default truncation order is the smallest whose
 weighted tail is at most tail_tol^2 of the head; a state that does not fit
-under the cap is rejected.
+under the cap is rejected, as are non-finite indices and eigenvalues.
+
+``eval_*_cs`` and ``*_series_sum`` take a float or an array of points.  The
+family's recurrence runs once over all of them, and each degree is added
+into the sum as it comes, so memory stays O(points) and the summation order
+is fixed.  A float gives a complex, an array an array of the same shape; a
+series value that is not finite raises ValueError naming its point.
 
 ``verify_annihilation`` rebuilds the truncated eigenstate on the monomial
 basis one exact rational coefficient per degree and measures the residual
@@ -38,7 +44,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,21 +103,21 @@ class _Spec(NamedTuple):
     ``shift`` gives s in c_n = Gamma(s) ev^n / Gamma(s+n); ``log_h0`` and
     ``h_ratio`` give log h_0 and the factors (numerator, denominator) of
     h_{n+1}/h_n of the squared norms; ``values`` runs the three-term
-    recurrence, (n_max, index, point) -> P_0..P_n_max."""
+    recurrence, (n_max, index, points) -> P_0..P_n_max one degree at a time."""
 
     index_floor: float
     index_rule: str
     shift: Callable[[float], float]
     log_h0: Callable[[float], float]
     h_ratio: Callable[[float, np.ndarray], tuple]
-    values: Callable[[int, float, float], list]
+    values: Callable[[int, float, np.ndarray], Iterator[np.ndarray]]
 
 
 _SPECS = {
     # h_n = integral of (L_n^lam)^2 x^lam e^-x = Gamma(n+lam+1)/n!
     Family.LAGUERRE: _Spec(
         index_floor=-1.0,
-        index_rule="Laguerre index must satisfy lam > -1",
+        index_rule="Laguerre index must be finite and satisfy lam > -1",
         shift=lambda lam: lam + 1.0,
         log_h0=lambda lam: specfun.ln_gamma(lam + 1.0),
         h_ratio=lambda lam, n: ((n + lam + 1.0,), (n + 1.0,)),
@@ -121,7 +127,7 @@ _SPECS = {
     #     = pi 2^(1-2 rho) Gamma(n+2 rho) / (n! (n+rho) Gamma(rho)^2)
     Family.POSCHL_TELLER: _Spec(
         index_floor=0.0,
-        index_rule="index must satisfy rho > 0",
+        index_rule="index must be finite and satisfy rho > 0",
         shift=lambda rho: 2.0 * rho,
         log_h0=lambda rho: (
             math.log(math.pi)
@@ -144,20 +150,22 @@ def _check_log(value: float, what: str) -> None:
 
 def _check_index(family: Family, index: float) -> None:
     spec = _SPECS[family]
-    if not index > spec.index_floor:
+    if not spec.index_floor < index < math.inf:
         raise ValueError(f"{spec.index_rule}, got {index!r}")
 
 
 def _log_h(family: Family, index: float, n_max: int) -> np.ndarray:
     """log h_n for n = 0..n_max, from h_0 and the ratios h_{n+1}/h_n.
 
-    The steps are the logs of the ratios, which are accurate near 1, unless a
-    ratio is below the normal range (h_1/h_0 = 2 rho^2/(1+rho) for rho below
-    about 1e-154); then they are the sums of the factors' logs.
+    Each ratio is a product of factor quotients, so no product of factors
+    can overflow (rho = 1e300).  The steps are the logs of the ratios, which
+    are accurate near 1, unless a ratio is below the normal range
+    (h_1/h_0 = 2 rho^2/(1+rho) for rho below about 1e-154); then they are
+    the sums of the factors' logs.
     """
     spec = _SPECS[family]
     num, den = spec.h_ratio(index, np.arange(n_max))
-    ratio = math.prod(num) / math.prod(den)
+    ratio = math.prod(a / b for a, b in zip(num, den))
     if np.any(ratio < _TINY):
         steps = sum(map(np.log, num)) - sum(map(np.log, den))
     else:
@@ -166,7 +174,10 @@ def _log_h(family: Family, index: float, n_max: int) -> np.ndarray:
 
 
 def _log_coeff_mags(family: Family, index: float, ev_abs: float, n_max: int) -> np.ndarray:
-    """log |c_n| for n = 0..n_max, from c_0 = 1 and c_{n+1}/c_n = ev/(s+n)."""
+    """log |c_n| for n = 0..n_max, from c_0 = 1 and c_{n+1}/c_n = ev/(s+n).
+    Raises ValueError for a non-finite eigenvalue."""
+    if not math.isfinite(ev_abs):
+        raise ValueError(f"eigenvalue must be finite, got |ev| = {ev_abs!r}")
     steps = math.log(ev_abs) - np.log(_SPECS[family].shift(index) + np.arange(n_max))
     return np.concatenate(([0.0], np.cumsum(steps)))
 
@@ -197,7 +208,10 @@ def _pick_order(family: Family, index: float, ev: complex, tail_tol: float) -> i
     w = np.exp(logw - logw.max())
     head = np.cumsum(w)[:-1]
     tail = np.cumsum(w[::-1])[-2::-1]
-    fits = np.flatnonzero(tail <= tail_tol * tail_tol * head)
+    # tail_tol * head first: a head entry that underflowed to 0 times an
+    # overflowed tail_tol^2 would be NaN; a product that overflows is inf
+    with np.errstate(over="ignore"):
+        fits = np.flatnonzero(tail <= tail_tol * (tail_tol * head))
     if not fits.size:
         raise ValueError(
             f"tail tolerance {tail_tol!r} not reachable within order cap {ORDER_CAP}"
@@ -213,8 +227,8 @@ def _build(
     order: Optional[int],
 ) -> CSExpansion:
     _check_index(family, index)
-    if tail_tol is not None and not tail_tol > 0.0:
-        raise ValueError(f"tail tolerance must be positive, got {tail_tol!r}")
+    if tail_tol is not None and not 0.0 < tail_tol < math.inf:
+        raise ValueError(f"tail tolerance must be positive and finite, got {tail_tol!r}")
     if order is None:
         order = _pick_order(family, index, ev, tail_tol)
     elif not 0 <= order <= ORDER_CAP:
@@ -284,44 +298,58 @@ def weights(cs: CSExpansion) -> np.ndarray:
     return np.exp(logs - 2.0 * math.log(cs.norm))
 
 
-def _evaluate(cs: CSExpansion, point: float) -> complex:
-    """sum_n (coeffs[n] / norm) P_n(point); dividing first keeps large
-    coefficients times large polynomial values from overflowing."""
-    values = _SPECS[cs.family].values(cs.order, cs.index, point)
-    return complex(np.sum(cs.coeffs / cs.norm * np.array(values)))
+def _require(ok: np.ndarray, points: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first point where ok is False."""
+    if not ok.all():
+        raise ValueError(f"{what} {float(points.flat[np.argmin(ok)])!r}")
 
 
-def eval_laguerre_cs(cs: CSExpansion, x: float) -> complex:
-    """Evaluate the normalized Laguerre-class state at x >= 0."""
+def _evaluate(cs: CSExpansion, points):
+    """sum_n (coeffs[n] / norm) P_n(points), added degree by degree as one
+    recurrence runs over all points (O(points) memory, fixed order); dividing
+    first keeps large coefficients times large polynomial values finite."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for c, p in zip(cs.coeffs / cs.norm, _SPECS[cs.family].values(cs.order, cs.index, pts)):
+            out += c * p
+    _require(np.isfinite(out), pts, "series value is not finite at")
+    return complex(out) if out.ndim == 0 else out
+
+
+def eval_laguerre_cs(cs: CSExpansion, x):
+    """Evaluate the normalized Laguerre-class state at x >= 0, a float or an array."""
     if cs.family is not Family.LAGUERRE:
         raise ValueError(f"expected a Laguerre-class state, got {cs.family}")
-    if x < 0.0:
-        raise ValueError(f"Laguerre-class argument must satisfy x >= 0, got {x!r}")
+    x = np.asarray(x, dtype=float)
+    _require(x >= 0.0, x, "Laguerre-class argument must satisfy x >= 0, got")
     return _evaluate(cs, x)
 
 
-def eval_pt_cs(cs: CSExpansion, y: float) -> complex:
-    """Evaluate the normalized Poschl-Teller-class state at y in [-1, 1]."""
+def eval_pt_cs(cs: CSExpansion, y):
+    """Evaluate the normalized Poschl-Teller-class state at y in [-1, 1], a float or an array."""
     if cs.family is not Family.POSCHL_TELLER:
         raise ValueError(f"expected a Poschl-Teller-class state, got {cs.family}")
-    if abs(y) > 1.0:
-        raise ValueError(f"argument must lie in [-1, 1], got {y!r}")
+    y = np.asarray(y, dtype=float)
+    _require(np.abs(y) <= 1.0, y, "argument must lie in [-1, 1], got")
     return _evaluate(cs, y)
 
 
-def _series_sum(family: Family, index: float, ev: complex, point: float, n_terms: int) -> complex:
+def _series_sum(family: Family, index: float, ev: complex, points, n_terms: int):
     _check_index(family, index)
+    if n_terms < 0:
+        raise ValueError(f"series length must be non-negative, got {n_terms}")
     coeffs = _coeff_vector(family, index, ev, n_terms)
-    return _evaluate(CSExpansion(family, index, complex(ev), coeffs, 1.0), point)
+    return _evaluate(CSExpansion(family, index, complex(ev), coeffs, 1.0), points)
 
 
-def laguerre_series_sum(lam: float, alpha: complex, x: float, n_terms: int) -> complex:
-    """Unnormalized partial sum sum_{n<=n_terms} c_n L_n^lam(x)."""
+def laguerre_series_sum(lam: float, alpha: complex, x, n_terms: int):
+    """Unnormalized partial sum sum_{n<=n_terms} c_n L_n^lam(x), x a float or an array."""
     return _series_sum(Family.LAGUERRE, lam, alpha, x, n_terms)
 
 
-def pt_series_sum(rho: float, q: complex, y: float, n_terms: int) -> complex:
-    """Unnormalized partial sum sum_{n<=n_terms} d_n C_n^rho(y)."""
+def pt_series_sum(rho: float, q: complex, y, n_terms: int):
+    """Unnormalized partial sum sum_{n<=n_terms} d_n C_n^rho(y), y a float or an array."""
     return _series_sum(Family.POSCHL_TELLER, rho, q, y, n_terms)
 
 

@@ -11,8 +11,10 @@ hypergeometric):
   every command that never evaluates a Bessel function, runs without it.
 * ``laguerre`` and ``gegenbauer`` use the standard upward three-term
   recurrences, which are stable on the orthogonality domains.  Each
-  recurrence is written once, as a private function returning every degree
-  0..n, which ``cstates`` sums its expansions with.
+  recurrence is written once, as a private generator of degrees 0..n that
+  takes a float or a numpy array (it uses only + - * /): the scalar
+  functions return its last value, and ``cstates`` sums each degree into
+  its series over a whole grid as it comes.
 * ``hyp_terminating`` sums the finite series in exact rational arithmetic
   internally, so alternating-term cancellation never degrades the result
   beyond the final rounding to float.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Iterator
 
 __all__ = [
     "ln_gamma",
@@ -58,23 +61,23 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _laguerre_values(n: int, lam: float, x: float) -> list[float]:
-    """L_k^lam(x) for k = 0..n by the upward recurrence
-    (k+1) L_{k+1} = (2k+1+lam-x) L_k - (k+lam) L_{k-1}."""
-    vals = [1.0, 1.0 + lam - x]
-    for k in range(1, n):
-        vals.append(((2.0 * k + 1.0 + lam - x) * vals[k] - (k + lam) * vals[k - 1]) / (k + 1.0))
-    return vals[: n + 1]
+def _laguerre_values(n: int, lam: float, x) -> Iterator:
+    """Yield L_k^lam(x) for k = 0..n by the upward recurrence
+    (k+1) L_{k+1} = (2k+1+lam-x) L_k - (k+lam) L_{k-1} from L_{-1} = 0."""
+    prev, cur = 0.0, 1.0
+    for k in range(n + 1):
+        yield cur
+        prev, cur = cur, ((2.0 * k + 1.0 + lam - x) * cur - (k + lam) * prev) / (k + 1.0)
 
 
-def _gegenbauer_values(n: int, rho: float, y: float) -> list[float]:
-    """C_k^rho(y) for k = 0..n by the upward recurrence
-    (k+1) C_{k+1} = 2(k+rho) y C_k - ((k-1)+2rho) C_{k-1}, with k-1 taken
-    first so that small rho is not lost to rounding in 1 + 2 rho."""
-    vals = [1.0, 2.0 * rho * y]
-    for k in range(1, n):
-        vals.append((2.0 * (k + rho) * y * vals[k] - ((k - 1.0) + 2.0 * rho) * vals[k - 1]) / (k + 1.0))
-    return vals[: n + 1]
+def _gegenbauer_values(n: int, rho: float, y) -> Iterator:
+    """Yield C_k^rho(y) for k = 0..n by the upward recurrence
+    (k+1) C_{k+1} = 2(k+rho) y C_k - ((k-1)+2rho) C_{k-1} from C_{-1} = 0,
+    with k-1 taken first so that small rho is not lost to rounding in 1 + 2 rho."""
+    prev, cur = 0.0, 1.0
+    for k in range(n + 1):
+        yield cur
+        prev, cur = cur, (2.0 * (k + rho) * y * cur - ((k - 1.0) + 2.0 * rho) * prev) / (k + 1.0)
 
 
 def laguerre(n: int, lam: float, x: float) -> float:
@@ -84,7 +87,7 @@ def laguerre(n: int, lam: float, x: float) -> float:
         raise ValueError(f"degree must be non-negative, got {n}")
     if not lam > -1.0:
         raise ValueError(f"Laguerre index must satisfy lam > -1, got {lam!r}")
-    return _laguerre_values(n, lam, x)[-1]
+    return list(_laguerre_values(n, lam, x))[-1]
 
 
 def gegenbauer(n: int, rho: float, y: float) -> float:
@@ -96,7 +99,7 @@ def gegenbauer(n: int, rho: float, y: float) -> float:
         raise ValueError(f"Gegenbauer index must satisfy rho > 0, got {rho!r}")
     if abs(y) > 1.0:
         raise ValueError(f"argument must lie in [-1, 1], got {y!r}")
-    return _gegenbauer_values(n, rho, y)[-1]
+    return list(_gegenbauer_values(n, rho, y))[-1]
 
 
 def hyp_terminating(n: int, b: float, c: float, z: float) -> float:

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohstates import cli, dynamics
 
@@ -121,6 +127,94 @@ def test_overflowing_parameters_exit_2(argv, tmp_path, capsys):
     assert run(argv + ["-o", str(out)]) == 2
     assert not out.exists()
     assert "would overflow a double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # series values that overflow: L_n^lam(x) at huge x, C_n^rho(y) at huge rho
+        (["cs-eval", "--family", "laguerre", "--grid-max", "1e308"], "is not finite"),
+        (["closed-form-check", "--family", "laguerre", "--grid-max", "1e200", "--tol", "1e-8"], "is not finite"),
+        (["closed-form-check", "--family", "laguerre", "--grid-max", "1e300"], "is not finite"),
+        (["closed-form-check", "--family", "pt", "--rho", "1e300"], "is not finite"),
+        # a closed form that underflows to 0 leaves no relative error
+        (["closed-form-check", "--family", "laguerre", "--lam", "4", "--grid-max", "1e200", "--n-terms", "1"],
+         "closed form is 0 at x = 5e+199"),
+        (["closed-form-check", "--family", "laguerre", "--n-terms", "-1"], "series length"),
+        # non-finite state parameters
+        (["cs-eval", "--family", "pt", "--rho", "inf"], "must be finite"),
+        (["cs-eval", "--family", "pt", "--q", "inf"], "must be finite"),
+        (["cs-eval", "--family", "pt", "--q", "nan"], "must be finite"),
+        (["cs-eval", "--family", "laguerre", "--alpha", "inf"], "must be finite"),
+        (["autocorr", "--q", "inf"], "must be finite"),
+        (["cs-eval", "--family", "laguerre", "--tail-tol", "inf"], "positive and finite"),
+        # non-finite grid bounds
+        (["cs-eval", "--family", "pt", "--grid-max", "inf"], "grid bounds"),
+        (["closed-form-check", "--family", "laguerre", "--grid-max", "inf"], "grid bounds"),
+        (["cs-eval", "--family", "pt", "--grid-min=-1e308", "--grid-max", "1e308"], "grid bounds"),
+        (["autocorr", "--t-max", "inf"], "grid bounds"),
+        (["autocorr", "--revs", "inf"], "grid bounds"),
+    ],
+)
+def test_non_finite_input_or_values_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "never.out"
+    assert run([*argv, "--samples", "3", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _option(lo, hi):
+    """A typical value in [lo, hi] or one of the special floats."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(_SPECIAL))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["cs-eval", "closed-form-check"]),
+    family=st.sampled_from(["laguerre", "pt"]),
+    options=st.fixed_dictionaries({
+        "--lam": _option(-0.9, 4.0),
+        "--alpha": _option(0.5, 6.0),
+        "--rho": _option(0.5, 4.0),
+        "--q": _option(1.0, 20.0),
+        "--tail-tol": _option(1e-14, 1e-6),
+    }, optional={
+        "--grid-min": _option(0.0, 1.0),
+        "--grid-max": _option(1.0, 20.0),
+        "--tol": _option(1e-12, 1e-6),
+    }),
+    samples=st.integers(2, 16),
+)
+def test_grid_commands_exit_cleanly(command, family, options, samples):
+    if command == "cs-eval":
+        options.pop("--tol", None)
+    argv = [command, "--family", family, "--samples", str(samples)]
+    argv += [f"{name}={value!r}" for name, value in options.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run([*argv, "-o", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not os.path.exists(path)
+            assert "error:" in stderr.getvalue()
+        if code == 0:
+            with open(path) as handle:
+                text = handle.read()
+            if command == "cs-eval":
+                assert all(math.isfinite(float(v)) for line in text.splitlines()[1:] for v in line.split(","))
+            else:
+                json.loads(text, parse_constant=_reject_constant)
+                summary = re.search(r"max relative error = (\S+) over", stdout.getvalue())
+                assert math.isfinite(float(summary.group(1)))
 
 
 # ---------------------------------------------------------- closed-form-check

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,6 +137,8 @@ def test_builder_domain_errors():
         build_pt_cs(0.0, 1.0)
     with pytest.raises(ValueError):
         build_laguerre_cs(2.0, 1.0, tail_tol=0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_pt_cs(2.0, 5.0, tail_tol=math.inf)
 
 
 # -------------------------------------------------------- normalize & weights
@@ -239,6 +243,93 @@ def test_complex_eigenvalue_series():
         )
     value = eval_laguerre_cs(cs, 2.0)
     assert value.imag != 0.0
+
+
+def test_grid_evaluation_matches_scalar_calls_and_keeps_shape():
+    pt = build_pt_cs(2.0, 5.0)
+    ys = np.cos(np.linspace(0.0, math.pi, 9))
+    grid = eval_pt_cs(pt, ys)
+    assert grid.shape == (9,)
+    for y, value in zip(ys, grid):
+        scalar = eval_pt_cs(pt, float(y))
+        assert type(scalar) is complex and scalar == value
+    ground = build_laguerre_cs(2.0, 0.0)  # order 0: one value per point all the same
+    flat = eval_laguerre_cs(ground, np.linspace(0.0, 3.0, 4))
+    assert flat.shape == (4,) and np.all(flat == 1.0 / ground.norm)
+
+
+def test_grid_domain_error_names_the_first_offending_point():
+    with pytest.raises(ValueError, match=r"x >= 0, got -0\.5$"):
+        eval_laguerre_cs(build_laguerre_cs(1.0, 1.0), np.array([0.0, -0.5, -1.0]))
+    with pytest.raises(ValueError, match=r"\[-1, 1\], got nan$"):
+        eval_pt_cs(build_pt_cs(1.0, 1.0), np.array([0.5, math.nan, 2.0]))
+
+
+def _mp_partial_sum(family, index, ev, point, n_terms):
+    """50-digit sum_{n<=n_terms} c_n P_n(point) and sum |c_n P_n(point)|."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    index, ev, point = mp.mpf(index), mp.mpf(ev), mp.mpf(point)
+    if family is Family.LAGUERRE:
+        terms = [ev**n / mp.rf(index + 1, n) * mp.laguerre(n, index, point) for n in range(n_terms + 1)]
+    else:
+        terms = [ev**n / mp.rf(2 * index, n) * mp.gegenbauer(n, index, point) for n in range(n_terms + 1)]
+    return complex(mp.fsum(terms)), float(mp.fsum(map(abs, terms)))
+
+
+@pytest.mark.parametrize(
+    "family,index,ev,grid,n_terms",
+    [
+        (Family.LAGUERRE, -0.5, 6.0, np.linspace(0.1, 30.0, 41), 80),
+        (Family.POSCHL_TELLER, 2.0, 5.0, np.cos(np.linspace(0.3, 3.0, 41)), 200),
+        (Family.POSCHL_TELLER, 2.0, 10.0, np.cos(np.linspace(0.3, 3.0, 41)), 200),
+        (Family.POSCHL_TELLER, 0.6, 15.0, np.cos(np.linspace(0.3, 3.0, 41)), 200),
+    ],
+)
+def test_grid_series_against_50_digit_partial_sums(family, index, ev, grid, n_terms):
+    # one recurrence pass over the grid, summed degree by degree: the error at
+    # every point stays within 64 u times the sum of the term magnitudes
+    series_sum = laguerre_series_sum if family is Family.LAGUERRE else pt_series_sum
+    got = series_sum(index, ev, grid, n_terms)
+    for k in range(0, len(grid), 5):
+        want, scale = _mp_partial_sum(family, index, ev, grid[k], n_terms)
+        assert abs(got[k] - want) <= 64 * 2.0**-53 * scale, (grid[k], abs(got[k] - want) / scale)
+
+
+def test_grid_evaluation_memory_is_linear_in_points():
+    # stacking every degree would take 501 x 2^16 doubles (262 MB)
+    cs = build_pt_cs(2.0, 5.0, order=cstates.ORDER_CAP)
+    ys = np.cos(np.linspace(0.0, math.pi, 1 << 16))
+    tracemalloc.start()
+    try:
+        eval_pt_cs(cs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "build,index,ev",
+    [
+        (build_pt_cs, math.inf, 5.0),
+        (build_pt_cs, 2.0, math.inf),
+        (build_pt_cs, 2.0, math.nan),
+        (build_laguerre_cs, math.inf, 3.0),
+        (build_laguerre_cs, 2.0, math.inf),
+    ],
+)
+def test_non_finite_state_parameters_are_rejected(build, index, ev):
+    with pytest.raises(ValueError, match="finite"):
+        build(index, ev)
+
+
+def test_huge_index_norm_ratios_do_not_overflow():
+    # h_1/h_0 = 2 rho^2/(1+rho): the product of numerator factors passes the
+    # double range at rho = 1e300, their quotients do not
+    steps = np.diff(cstates._log_h(Family.POSCHL_TELLER, 1e300, 3))
+    assert steps[0] == pytest.approx(math.log(2e300), rel=1e-15)
+    assert np.all(np.isfinite(steps))
 
 
 # ---------------------------------------------------------------- closed forms

@@ -115,7 +115,7 @@ def test_gegenbauer_small_index_against_mpmath(rho):
     mp = mpmath.mp.clone()
     mp.dps = 50
     ys = (-0.9, -0.3, 0.1, 0.45, 0.8)
-    values = [specfun._gegenbauer_values(30, rho, y) for y in ys]
+    values = [list(specfun._gegenbauer_values(30, rho, y)) for y in ys]
     refs = [[mp.gegenbauer(k, mp.mpf(rho), mp.mpf(y)) for k in range(31)] for y in ys]
     for k in range(31):
         scale = max(abs(ref[k]) for ref in refs)
